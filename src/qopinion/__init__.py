@@ -12,7 +12,7 @@ from .analysis import (
     FallacyReport,
     GridRange,
     RegimeClass,
-    SweepCell,
+    SweepResult,
     UnderextensionEstimate,
     classify_regime,
     decompose_total_probability,

@@ -29,14 +29,16 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError, SingularityError, ValidationError
 from .measurement import outcome_probability
 from .observables import (
     BasisRelation,
     Question,
-    change_basis,
     conditional_probability,
     relative_relation,
+    rotate_amplitudes,
 )
 from .states import MixedState, PureState, density_from_pure, pure_from_angles
 
@@ -62,7 +64,8 @@ class FallacyReport:
     ``margins`` holds, in order, (threshold_b - P(b1), threshold_a - P(a1),
     P(b1) - threshold_b, P(a1) - threshold_a): positive first-pair entries
     point toward the direct fallacy, positive second-pair entries toward the
-    reverse side.
+    reverse side.  P(b1) and P(a1) are the totals of ``decomposition_b``
+    (P(b1) through a's basis) and ``decomposition_a`` (P(a1) through b's).
     """
 
     fallacy_on_b: bool
@@ -70,13 +73,14 @@ class FallacyReport:
     reverse_on_b: bool
     reverse_on_a: bool
     margins: tuple[float, float, float, float]
+    decomposition_b: DecompositionResult
+    decomposition_a: DecompositionResult
 
 
 class RegimeClass(enum.Enum):
     CORRELATED = "correlated"
     UNCORRELATED = "uncorrelated"
     ANTICORRELATED = "anticorrelated"
-    INTERMEDIATE = "intermediate"
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,36 @@ class GridRange:
         return [self.start + k * h for k in range(self.steps)]
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    theta: float
-    theta_a: float
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Fallacy raster over (theta, theta_a) as a struct of arrays.
+
+    Each per-cell array has shape ``(len(theta), len(theta_a))``: row i holds
+    ``theta[i]``, so flattening is row-major in theta.  ``p_b1`` and
+    ``p_a1`` are the totals of the two decompositions (P(b1) through a's
+    basis, P(a1) through b's); ``margins`` are as in :class:`FallacyReport`;
+    ``regime`` holds one class per theta row.
+    """
+
+    theta: np.ndarray
+    theta_a: np.ndarray
     phi: float
-    decomposition_b: DecompositionResult
-    decomposition_a: DecompositionResult
-    report: FallacyReport
-    regime: RegimeClass
+    p_a1: np.ndarray
+    p_b1: np.ndarray
+    classical_b1: np.ndarray
+    interference_b1: np.ndarray
+    classical_a1: np.ndarray
+    interference_a1: np.ndarray
+    fallacy_b: np.ndarray
+    fallacy_a: np.ndarray
+    reverse_b: np.ndarray
+    reverse_a: np.ndarray
+    margins: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    regime: tuple[RegimeClass, ...]
+
+    def __len__(self) -> int:
+        """Number of cells."""
+        return self.p_a1.size
 
 
 @dataclass(frozen=True)
@@ -128,6 +153,141 @@ class UnderextensionEstimate:
     underextension: bool
 
 
+class ComplexArray:
+    """A batch of complex numbers held as real and imaginary float arrays.
+
+    The operators repeat CPython's ``complex`` formulas step by step (a real
+    operand is promoted to ``complex(x, 0.0)``, as up to Python 3.13;
+    division is Smith's method) and ``abs`` is libm's hypot, as for
+    ``complex``.  numpy's own complex ufuncs may fuse or reorder these
+    steps and then differ from Python in the last bit; with this type a
+    batch gives bit for bit what the scalar path gives for each of its
+    elements, signed zeros included.
+    """
+
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    @staticmethod
+    def _parts(z):
+        if isinstance(z, (ComplexArray, complex)):
+            return z.real, z.imag
+        return z, 0.0
+
+    def conjugate(self) -> "ComplexArray":
+        return ComplexArray(self.real, -self.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    def __add__(self, other) -> "ComplexArray":
+        re, im = self._parts(other)
+        return ComplexArray(self.real + re, self.imag + im)
+
+    def __sub__(self, other) -> "ComplexArray":
+        re, im = self._parts(other)
+        return ComplexArray(self.real - re, self.imag - im)
+
+    def __mul__(self, other) -> "ComplexArray":
+        re, im = self._parts(other)
+        return ComplexArray(
+            self.real * re - self.imag * im, self.real * im + self.imag * re
+        )
+
+    def __truediv__(self, other) -> "ComplexArray":
+        br, bi = map(np.asarray, self._parts(other))
+        ar, ai = self.real, self.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wide = np.abs(br) >= np.abs(bi)
+            ratio = np.where(wide, bi / br, br / bi)
+            denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+            real = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+            imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+        return ComplexArray(real, imag)
+
+
+def _batch(values, shape):
+    """Values from the scalar path stacked into an array of ``shape``;
+    complex values become a :class:`ComplexArray`."""
+    z = np.array(values).reshape(shape)
+    return ComplexArray(z.real, z.imag) if np.iscomplexobj(z) else z
+
+
+def _abs2(z):
+    """``abs(z) ** 2`` for a complex or a :class:`ComplexArray`.
+
+    Python's ``**`` calls libm pow, which ``np.float_power`` also calls;
+    ``np.square`` and ``np.power`` round differently on some inputs.
+    """
+    if isinstance(z, ComplexArray):
+        return np.float_power(abs(z), 2.0)
+    return abs(z) ** 2
+
+
+def _rotation_terms(rel: BasisRelation) -> tuple[float, float, complex]:
+    """(cos theta, sin theta, e^{i phi}): what rotating into a basis needs."""
+    return math.cos(rel.theta), math.sin(rel.theta), cmath.exp(1j * rel.phi)
+
+
+def _relation_terms(rel: BasisRelation) -> tuple[float, float, complex]:
+    """(cos^2 theta, sin 2 theta, e^{i phi}): what a decomposition needs."""
+    return math.cos(rel.theta) ** 2, math.sin(2.0 * rel.theta), cmath.exp(1j * rel.phi)
+
+
+def _split(alpha0, alpha1, c2, sin2t, phase, j=1):
+    """(classical part, interference) of P(b = j).
+
+    ``alpha0, alpha1`` are the state's coordinates in a's basis and
+    (c2, sin2t, phase) are :func:`_relation_terms` of b seen from a.  All
+    may be scalars or broadcastable batches.
+    """
+    p_a0, p_a1 = _abs2(alpha0), _abs2(alpha1)
+    # The path through a = j keeps b = j with probability c2.
+    other, same = (p_a0, p_a1) if j == 1 else (p_a1, p_a0)
+    classical = other * (1.0 - c2) + same * c2
+    cross = (alpha0 * alpha1.conjugate() * phase).real * sin2t
+    return classical, cross if j == 1 else -cross
+
+
+def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> dict:
+    """Both decompositions, the four flags and the margins, named as the
+    fields of :class:`SweepResult`: the arithmetic shared by
+    :func:`fallacy_report` (scalars) and :func:`sweep_fallacy_map` (arrays).
+
+    ``amp0, amp1`` are the state's amplitudes in the reference basis,
+    ``rotate_a``/``rotate_b`` the :func:`_rotation_terms` of a's and b's
+    relation to the reference, ``a_to_b``/``b_to_a`` the
+    :func:`_relation_terms` of b seen from a and of a seen from b.
+    """
+    classical_b, interference_b = _split(
+        *rotate_amplitudes(amp0, amp1, *rotate_a), *a_to_b
+    )
+    classical_a, interference_a = _split(
+        *rotate_amplitudes(amp0, amp1, *rotate_b), *b_to_a
+    )
+    p_b1 = classical_b + interference_b
+    p_a1 = classical_a + interference_a
+    cond = a_to_b[0]  # P(b1 | a1) = P(a1 | b1)
+    thr_b = p_a1 * cond
+    thr_a = p_b1 * cond
+    return dict(
+        p_a1=p_a1,
+        p_b1=p_b1,
+        classical_b1=classical_b,
+        interference_b1=interference_b,
+        classical_a1=classical_a,
+        interference_a1=interference_a,
+        fallacy_b=p_b1 < thr_b - FALLACY_GUARD,
+        fallacy_a=p_a1 < thr_a - FALLACY_GUARD,
+        reverse_b=(p_b1 > thr_b + FALLACY_GUARD) & (interference_b > 0.0),
+        reverse_a=(p_a1 > thr_a + FALLACY_GUARD) & (interference_a > 0.0),
+        margins=(thr_b - p_b1, thr_a - p_a1, p_b1 - thr_b, p_a1 - thr_a),
+    )
+
+
 def decompose_total_probability(
     s: PureState, a: Question, b: Question, j: int
 ) -> DecompositionResult:
@@ -139,20 +299,10 @@ def decompose_total_probability(
     """
     if j not in (0, 1):
         raise ValidationError(f"outcome must be 0 or 1, got {j!r}")
-    alpha = change_basis(s, a.relation_to_reference)
-    rel = relative_relation(a, b)
-    c2 = math.cos(rel.theta) ** 2
-    s2 = 1.0 - c2
-    p_a0 = abs(alpha.amp0) ** 2
-    p_a1 = abs(alpha.amp1) ** 2
-    if j == 1:
-        classical = p_a0 * s2 + p_a1 * c2
-    else:
-        classical = p_a0 * c2 + p_a1 * s2
-    cross = (
-        alpha.amp0 * alpha.amp1.conjugate() * cmath.exp(1j * rel.phi)
-    ).real * math.sin(2.0 * rel.theta)
-    interference = cross if j == 1 else -cross
+    alpha = rotate_amplitudes(s.amp0, s.amp1, *_rotation_terms(a.relation_to_reference))
+    classical, interference = _split(
+        *alpha, *_relation_terms(relative_relation(a, b)), j
+    )
     return DecompositionResult(
         total=classical + interference,
         classical_part=classical,
@@ -190,36 +340,32 @@ def mixed_state_total_probability(
     )
 
 
-def _fallacy_data(
-    s: PureState, a: Question, b: Question
-) -> tuple[DecompositionResult, DecompositionResult, FallacyReport]:
-    dec_b = decompose_total_probability(s, a, b, 1)
-    dec_a = decompose_total_probability(s, b, a, 1)
-    rho = density_from_pure(s)
-    p_a1 = outcome_probability(rho, a, 1)
-    p_b1 = outcome_probability(rho, b, 1)
-    cond = conditional_probability(a, 1, b, 1)
-    thr_b = p_a1 * cond
-    thr_a = p_b1 * cond
-    fallacy_b = p_b1 < thr_b - FALLACY_GUARD
-    fallacy_a = p_a1 < thr_a - FALLACY_GUARD
-    reverse_b = (p_b1 > thr_b + FALLACY_GUARD) and dec_b.interference > 0.0
-    reverse_a = (p_a1 > thr_a + FALLACY_GUARD) and dec_a.interference > 0.0
-    report = FallacyReport(
-        fallacy_on_b=fallacy_b,
-        fallacy_on_a=fallacy_a,
-        reverse_on_b=reverse_b,
-        reverse_on_a=reverse_a,
-        margins=(thr_b - p_b1, thr_a - p_a1, p_b1 - thr_b, p_a1 - thr_a),
-    )
-    return dec_b, dec_a, report
-
-
 def fallacy_report(s: PureState, a: Question, b: Question) -> FallacyReport:
     """Direct fallacy check from probabilities: P(b1) against P(a1)P(b1|a1)
     and symmetrically for the a side, with a 1e-12 guard band so boundary
-    cells are deterministic."""
-    return _fallacy_data(s, a, b)[2]
+    cells are deterministic.  The report carries the two decompositions
+    whose totals it compares."""
+    f = _fallacy(
+        s.amp0,
+        s.amp1,
+        _rotation_terms(a.relation_to_reference),
+        _rotation_terms(b.relation_to_reference),
+        _relation_terms(relative_relation(a, b)),
+        _relation_terms(relative_relation(b, a)),
+    )
+    return FallacyReport(
+        fallacy_on_b=f["fallacy_b"],
+        fallacy_on_a=f["fallacy_a"],
+        reverse_on_b=f["reverse_b"],
+        reverse_on_a=f["reverse_a"],
+        margins=f["margins"],
+        decomposition_b=DecompositionResult(
+            f["p_b1"], f["classical_b1"], f["interference_b1"], b, 1
+        ),
+        decomposition_a=DecompositionResult(
+            f["p_a1"], f["classical_a1"], f["interference_a1"], a, 1
+        ),
+    )
 
 
 def fallacy_inequalities(theta_a: float, theta: float) -> tuple[bool, bool]:
@@ -255,49 +401,50 @@ def classify_regime(theta: float) -> RegimeClass:
     """Correlation regime bands with fixed pi/8 half-widths.
 
     Band edges are assigned to the lower class so rasters are reproducible.
-    The intermediate class is unreachable under the default bands but kept
-    for configurable variants.
     """
     t = theta % math.pi
     if t <= math.pi / 8.0:
         return RegimeClass.CORRELATED
     if t <= 3.0 * math.pi / 8.0:
         return RegimeClass.UNCORRELATED
-    if t > 3.0 * math.pi / 8.0:
-        return RegimeClass.ANTICORRELATED
-    return RegimeClass.INTERMEDIATE
+    return RegimeClass.ANTICORRELATED
 
 
 def sweep_fallacy_map(
     theta_grid: GridRange, theta_a_grid: GridRange, phi: float
-) -> list[SweepCell]:
+) -> SweepResult:
     """Rasterize fallacy structure over (theta, theta_a), row-major in theta.
 
-    Each cell prepares the real state with angle theta_a, relates question b
-    to the reference by (theta, phi), and records both decompositions, the
-    flag report and the correlation regime.  Cells are independent and the
-    output order is deterministic.
+    Cell (i, k) prepares the real state with angle theta_a[k], relates
+    question b to the reference by (theta[i], phi), and records both
+    decompositions, the flags and the correlation regime.  The per-axis
+    terms come from the scalar code, once per axis value; the cells are then
+    one batch through the arithmetic of :func:`fallacy_report`, so every
+    cell equals the report for its point.
     """
     reference = Question("a")
-    cells: list[SweepCell] = []
-    for theta in theta_grid.values():
-        b = Question("b", BasisRelation(theta, phi))
-        regime = classify_regime(theta)
-        for theta_a in theta_a_grid.values():
-            s = pure_from_angles(theta_a, 0.0)
-            dec_b, dec_a, report = _fallacy_data(s, reference, b)
-            cells.append(
-                SweepCell(
-                    theta=theta,
-                    theta_a=theta_a,
-                    phi=phi,
-                    decomposition_b=dec_b,
-                    decomposition_a=dec_a,
-                    report=report,
-                    regime=regime,
-                )
-            )
-    return cells
+    thetas, theta_as = theta_grid.values(), theta_a_grid.values()
+    states = [pure_from_angles(theta_a, 0.0) for theta_a in theta_as]
+    bs = [Question("b", BasisRelation(theta, phi)) for theta in thetas]
+
+    def per_row(terms):  # one (n, 1) batch per term
+        return [_batch(column, (-1, 1)) for column in zip(*terms)]
+
+    cells = _fallacy(
+        _batch([s.amp0 for s in states], (1, -1)),
+        _batch([s.amp1 for s in states], (1, -1)),
+        _rotation_terms(reference.relation_to_reference),
+        per_row([_rotation_terms(b.relation_to_reference) for b in bs]),
+        per_row([_relation_terms(relative_relation(reference, b)) for b in bs]),
+        per_row([_relation_terms(relative_relation(b, reference)) for b in bs]),
+    )
+    return SweepResult(
+        theta=np.array(thetas),
+        theta_a=np.array(theta_as),
+        phi=phi,
+        regime=tuple(classify_regime(theta) for theta in thetas),
+        **cells,
+    )
 
 
 def underextension_estimate(
@@ -337,8 +484,6 @@ def uncertainty_sum_minimum(
     """
     if grid_steps < 8:
         raise ValidationError(f"grid_steps must be >= 8, got {grid_steps}")
-    import numpy as np
-
     from .observables import eigenvectors_in_reference
 
     va = eigenvectors_in_reference(a)[1]

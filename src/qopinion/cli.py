@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from . import dsl
 from .analysis import (
     GridRange,
-    SweepCell,
-    decompose_total_probability,
+    SweepResult,
     fallacy_report,
     sweep_fallacy_map,
     underextension_estimate,
@@ -111,41 +110,46 @@ def _require_pure(state, name: str) -> PureState:
     return state
 
 
-def _sweep_rows(cells: list[SweepCell]) -> list[str]:
-    rows = [SWEEP_HEADER]
-    for cell in cells:
-        rep = cell.report
-        rows.append(
-            ",".join(
-                [
-                    _f(cell.theta),
-                    _f(cell.theta_a),
-                    _f(cell.phi),
-                    _f(cell.decomposition_a.total),
-                    _f(cell.decomposition_b.total),
-                    _f(cell.decomposition_b.classical_part),
-                    _f(cell.decomposition_b.interference),
-                    _f(cell.decomposition_a.classical_part),
-                    _f(cell.decomposition_a.interference),
-                    _b(rep.fallacy_on_b),
-                    _b(rep.fallacy_on_a),
-                    _b(rep.reverse_on_b),
-                    _b(rep.reverse_on_a),
-                    cell.regime.value,
-                ]
-            )
+# The four flag columns for each code fallacy_b*8 + fallacy_a*4 + reverse_b*2 + reverse_a.
+_FLAG_FIELDS = [",".join(f"{code:04b}") for code in range(16)]
+
+
+def _sweep_lines(sweep: SweepResult) -> list[str]:
+    """Header plus one CSV row per cell, row-major in theta.
+
+    The axis columns are formatted once per axis value, not once per row.
+    """
+    theta_a = [_f(x) for x in sweep.theta_a.tolist()]
+    phi = _f(sweep.phi)
+    columns = [
+        sweep.p_a1,
+        sweep.p_b1,
+        sweep.classical_b1,
+        sweep.interference_b1,
+        sweep.classical_a1,
+        sweep.interference_a1,
+    ]
+    codes = (
+        sweep.fallacy_b * 8 + sweep.fallacy_a * 4 + sweep.reverse_b * 2 + sweep.reverse_a
+    )
+    lines = [SWEEP_HEADER]
+    for i, theta in enumerate(sweep.theta.tolist()):
+        head = f"{_f(theta)},"
+        tail = f",{phi},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,{sweep.regime[i].value}"
+        values = zip(*(column[i].tolist() for column in columns))
+        flags = [_FLAG_FIELDS[code] for code in codes[i].tolist()]
+        lines.extend(
+            head + x + tail % (*v, f) for x, v, f in zip(theta_a, values, flags)
         )
-    return rows
+    return lines
 
 
 def _run_fallacy(task: dsl.Task, rt: Runtime) -> list[str]:
     state_name = task.arg("state")
     a_name, b_name = task.arg("pair")
     s = _require_pure(rt.states[state_name], state_name)
-    a, b = rt.questions[a_name], rt.questions[b_name]
-    dec_b = decompose_total_probability(s, a, b, 1)
-    dec_a = decompose_total_probability(s, b, a, 1)
-    rep = fallacy_report(s, a, b)
+    rep = fallacy_report(s, rt.questions[a_name], rt.questions[b_name])
+    dec_b, dec_a = rep.decomposition_b, rep.decomposition_a
     header = (
         "state,a,b,p_a1,p_b1,classical_b1,interference_b1,"
         "classical_a1,interference_a1,fallacy_b,fallacy_a,reverse_b,reverse_a"
@@ -190,12 +194,12 @@ def _run_sweep_task(task: dsl.Task, rt: Runtime) -> list[str]:
     theta = task.arg("theta")
     theta_a = task.arg("theta_a")
     phi = task.arg("phi")
-    cells = sweep_fallacy_map(
+    sweep = sweep_fallacy_map(
         GridRange(theta.start, theta.stop, theta.steps),
         GridRange(theta_a.start, theta_a.stop, theta_a.steps),
         phi,
     )
-    return _sweep_rows(cells)
+    return _sweep_lines(sweep)
 
 
 def _run_simulate(
@@ -298,31 +302,23 @@ def _write_output(text: str, out_path) -> None:
             fh.write(text)
 
 
+def _number(tok: str) -> float:
+    """A numeric option in the experiment language's grammar."""
+    try:
+        return dsl.parse_number(tok)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _parse_range(raw: str) -> GridRange:
     parts = raw.split(":")
     if len(parts) != 3:
         raise _UsageError(f"expected START:END:STEPS, got {raw!r}")
     try:
-        start = dsl_number(parts[0])
-        stop = dsl_number(parts[1])
         steps = int(parts[2])
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    return GridRange(start, stop, steps)
-
-
-def dsl_number(tok: str) -> float:
-    """Accept the same numeric forms as the experiment language."""
-    import math
-    import re
-
-    m = re.match(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", tok)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    return float(tok)
+    return GridRange(_number(parts[0]), _number(parts[1]), steps)
 
 
 def build_parser() -> _Parser:
@@ -337,7 +333,7 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="rasterize the fallacy map")
     p_sweep.add_argument("--theta", required=True)
     p_sweep.add_argument("--theta-a", dest="theta_a", required=True)
-    p_sweep.add_argument("--phi", type=float, default=0.0)
+    p_sweep.add_argument("--phi", default="0.0")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--svg", default=None)
 
@@ -364,10 +360,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     theta = _parse_range(args.theta)
     theta_a = _parse_range(args.theta_a)
-    cells = sweep_fallacy_map(theta, theta_a, args.phi)
-    _write_output("\n".join(_sweep_rows(cells)) + "\n", args.out)
+    sweep = sweep_fallacy_map(theta, theta_a, _number(args.phi))
+    _write_output("\n".join(_sweep_lines(sweep)) + "\n", args.out)
     if args.svg is not None:
-        svg = fallacy_heatmap_svg(cells, theta.steps, theta_a.steps)
+        svg = fallacy_heatmap_svg(sweep, theta.steps, theta_a.steps)
         with open(args.svg, "w", newline="") as fh:
             fh.write(svg)
     return 0

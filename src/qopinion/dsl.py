@@ -110,6 +110,34 @@ _DEG_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)deg$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _TOKEN_RE = re.compile(r"\S+")
 
+
+def parse_number(tok: str) -> float:
+    """Value of one numeric token: a decimal, a pi-fraction such as ``pi/4``
+    or ``3pi/8``, or a decimal with a ``deg`` suffix such as ``10deg``.
+
+    Raises ValueError, with the reason as its message, for a malformed
+    token, a zero denominator or a value that is not finite.
+    """
+    m = _PI_RE.match(tok)
+    if m:
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        num = float(m.group(2)) if m.group(2) else 1.0
+        den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise ValueError(f"division by zero in {tok!r}")
+        value = sign * num * math.pi / den
+    elif m := _DEG_RE.match(tok):
+        value = math.radians(float(m.group(1)))
+    else:
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ValueError(f"malformed number {tok!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {tok!r}")
+    return value
+
+
 # Required and optional key=value arguments per task kind.
 _TASK_ARGS: dict[str, tuple[dict[str, str], dict[str, tuple[str, object]]]] = {
     "fallacy": ({"state": "state", "pair": "pair"}, {}),
@@ -151,22 +179,10 @@ class _Parser:
         raise _LineErrors()
 
     def parse_float(self, tok: str, line_no: int, col: int, snippet: str) -> float:
-        m = _PI_RE.match(tok)
-        if m:
-            sign = -1.0 if m.group(1) == "-" else 1.0
-            num = float(m.group(2)) if m.group(2) else 1.0
-            den = float(m.group(3)) if m.group(3) else 1.0
-            if den == 0.0:
-                self.fail(line_no, col, f"division by zero in {tok!r}", snippet)
-            return sign * num * math.pi / den
-        m = _DEG_RE.match(tok)
-        if m:
-            return math.radians(float(m.group(1)))
         try:
-            return float(tok)
-        except ValueError:
-            self.fail(line_no, col, f"malformed number {tok!r}", snippet)
-            raise AssertionError  # unreachable
+            return parse_number(tok)
+        except ValueError as exc:
+            self.fail(line_no, col, str(exc), snippet)
 
     def parse_int(self, tok: str, line_no: int, col: int, snippet: str) -> int:
         if not _INT_RE.match(tok):

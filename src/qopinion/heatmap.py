@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .analysis import SweepCell
+from .analysis import SweepResult
 
 _COLORS = {
     (False, False): "#eeeeee",
@@ -25,12 +25,12 @@ _LEGEND = [
 
 
 def fallacy_heatmap_svg(
-    cells: list[SweepCell], n_theta: int, n_theta_a: int, cell_px: int = 8
+    sweep: SweepResult, n_theta: int, n_theta_a: int, cell_px: int = 8
 ) -> str:
     """Render the row-major sweep raster as an SVG document string."""
-    if len(cells) != n_theta * n_theta_a:
+    if len(sweep) != n_theta * n_theta_a:
         raise ValueError(
-            f"expected {n_theta * n_theta_a} cells, got {len(cells)}"
+            f"expected {n_theta * n_theta_a} cells, got {len(sweep)}"
         )
     legend_h = 18 * len(_LEGEND) + 10
     width = n_theta_a * cell_px + 20
@@ -41,15 +41,13 @@ def fallacy_heatmap_svg(
         f'<text x="10" y="12" font-size="10">fallacy map '
         f"(rows: theta, cols: theta_a)</text>",
     ]
-    for idx, cell in enumerate(cells):
-        row, col = divmod(idx, n_theta_a)
-        flags = (cell.report.fallacy_on_b, cell.report.fallacy_on_a)
-        x = 10 + col * cell_px
-        y = 16 + row * cell_px
-        parts.append(
-            f'<rect class="cell" x="{x}" y="{y}" width="{cell_px}" '
-            f'height="{cell_px}" fill="{_COLORS[flags]}"/>'
-        )
+    pairs = zip(sweep.fallacy_b.ravel().tolist(), sweep.fallacy_a.ravel().tolist())
+    fills = [_COLORS[pair] for pair in pairs]
+    heads = [f'<rect class="cell" x="{10 + col * cell_px}" y="' for col in range(n_theta_a)]
+    for row in range(n_theta):
+        tail = f'{16 + row * cell_px}" width="{cell_px}" height="{cell_px}" fill="'
+        row_fills = fills[row * n_theta_a:(row + 1) * n_theta_a]
+        parts.extend(f'{head}{tail}{fill}"/>' for head, fill in zip(heads, row_fills))
     y0 = 16 + n_theta * cell_px + 12
     for i, (flags, label) in enumerate(_LEGEND):
         y = y0 + i * 18

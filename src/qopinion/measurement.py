@@ -52,10 +52,8 @@ def outcome_probability(rho: MixedState, q: Question, i: int) -> float:
 
 
 def mean_value(rho: MixedState, q: Question) -> float:
-    """Tr(rho Q) = sum_i q_i P(q_i); equals P(q = 1) for 0/1 eigenvalues."""
-    p0 = outcome_probability(rho, q, 0)
-    p1 = outcome_probability(rho, q, 1)
-    return 0.0 * p0 + 1.0 * p1
+    """Tr(rho Q) = sum_i q_i P(q_i), which is P(q = 1) for 0/1 eigenvalues."""
+    return outcome_probability(rho, q, 1)
 
 
 def variance(rho: MixedState, q: Question) -> float:

@@ -71,10 +71,18 @@ def change_basis(s: PureState, rel: BasisRelation) -> PureState:
         beta1 = alpha0 sin(theta) e^{i phi} + alpha1 cos(theta)
     """
     c, sn = math.cos(rel.theta), math.sin(rel.theta)
-    phase = cmath.exp(1j * rel.phi)
-    beta0 = s.amp0 * c - s.amp1 * sn / phase
-    beta1 = s.amp0 * sn * phase + s.amp1 * c
-    return PureState(beta0, beta1)
+    return PureState(*rotate_amplitudes(s.amp0, s.amp1, c, sn, cmath.exp(1j * rel.phi)))
+
+
+def rotate_amplitudes(amp0, amp1, c, sn, phase):
+    """The arithmetic of :func:`change_basis` on bare amplitudes.
+
+    ``c``, ``sn`` and ``phase`` are cos(theta), sin(theta) and e^{i phi}.
+    Any argument may instead be a batch of values (numpy arrays, or complex
+    batches held as real and imaginary arrays), so one rotation and a whole
+    raster of them run the same operations.
+    """
+    return amp0 * c - amp1 * sn / phase, amp0 * sn * phase + amp1 * c
 
 
 def from_basis(s: PureState, rel: BasisRelation) -> PureState:
@@ -105,7 +113,7 @@ def _relation_from_columns(
         phi = cmath.phase(-v10)
     else:
         phi = cmath.phase(-v10) - cmath.phase(v00)
-    return BasisRelation(theta % math.pi if theta >= 0 else theta, phi)
+    return BasisRelation(theta, phi)
 
 
 def relative_relation(from_q: Question, to_q: Question) -> BasisRelation:

@@ -8,6 +8,7 @@ answers never carry over between the two tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,6 +43,10 @@ class PopulationSpec:
             raise ValidationError("population needs at least one component")
         total = 0.0
         for comp in self.components:
+            if not math.isfinite(comp.fraction):
+                raise ValidationError(
+                    f"non-finite fraction {comp.fraction!r} for {comp.label!r}"
+                )
             if comp.fraction < 0.0:
                 raise ValidationError(
                     f"negative fraction {comp.fraction!r} for {comp.label!r}"
@@ -113,6 +118,8 @@ def simulate_population(
     """
     if n_agents < 1:
         raise ValidationError(f"n_agents must be >= 1, got {n_agents}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n_agents, 5))
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qopinion import (
@@ -154,14 +155,69 @@ def test_grid_range():
 
 
 def test_sweep_is_row_major_in_theta():
-    cells = sweep_fallacy_map(GridRange(0.1, 0.3, 3), GridRange(1.0, 2.0, 2), 0.0)
-    assert len(cells) == 6
-    assert [c.theta for c in cells] == pytest.approx([0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
-    assert [c.theta_a for c in cells[:2]] == pytest.approx([1.0, 2.0])
-    for c in cells:
-        assert c.regime is classify_regime(c.theta)
-        dec = c.decomposition_b
-        assert abs(dec.total - (dec.classical_part + dec.interference)) < 1e-12
+    sweep = sweep_fallacy_map(GridRange(0.1, 0.3, 3), GridRange(1.0, 2.0, 2), 0.0)
+    assert len(sweep) == 6
+    assert sweep.p_b1.shape == (3, 2)
+    cell_thetas = np.repeat(sweep.theta, len(sweep.theta_a))
+    assert list(cell_thetas) == pytest.approx([0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
+    assert list(sweep.theta_a[:2]) == pytest.approx([1.0, 2.0])
+    assert len(sweep.regime) == 3
+    for theta, regime in zip(sweep.theta, sweep.regime):
+        assert regime is classify_regime(theta)
+    split = sweep.classical_b1 + sweep.interference_b1
+    assert np.all(np.abs(sweep.p_b1 - split) < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "theta_grid, theta_a_grid, phi",
+    [
+        # phi != 0, angles below 0 and above pi
+        (GridRange(-3.7, 7.1, 13), GridRange(-2.3, 4.9, 11), 0.9),
+        (GridRange(-1.0, 4.0, 9), GridRange(3.5, -0.5, 7), 4.4),
+        # enough cells that libm pow and x * x disagree on some squares
+        (GridRange(-2.0, 5.0, 64), GridRange(-1.0, 4.0, 64), 0.3),
+        # theta = -pi, 0 and pi: b's basis is a's.  With phi = 0, a seen from b
+        # is then the identity relation, not phi = pi, which sets the sign of
+        # the zero a-side interference.
+        (GridRange(-math.pi, math.pi, 9), GridRange(-math.pi, math.pi, 9), 0.0),
+        (GridRange(0.0, math.pi, 5), GridRange(0.0, 2.0, 5), 2.0 * math.pi),
+        (GridRange(0.0, math.pi, 5), GridRange(0.0, 2.0, 5), math.pi / 2),
+    ],
+)
+def test_sweep_matches_scalar_report(theta_grid, theta_a_grid, phi):
+    sweep = sweep_fallacy_map(theta_grid, theta_a_grid, phi)
+    assert sweep.p_a1.shape == (theta_grid.steps, theta_a_grid.steps)
+    assert list(sweep.theta) == theta_grid.values()
+    assert list(sweep.theta_a) == theta_a_grid.values()
+    for cell in np.ndindex(sweep.p_a1.shape):
+        theta, theta_a = float(sweep.theta[cell[0]]), float(sweep.theta_a[cell[1]])
+        s = pure_from_angles(theta_a, 0.0)
+        rep = fallacy_report(s, A, Question("b", BasisRelation(theta, phi)))
+        flags = (rep.fallacy_on_b, rep.fallacy_on_a, rep.reverse_on_b, rep.reverse_on_a)
+        batch_flags = (
+            sweep.fallacy_b[cell], sweep.fallacy_a[cell],
+            sweep.reverse_b[cell], sweep.reverse_a[cell],
+        )
+        assert batch_flags == flags
+        assert tuple(m[cell] for m in sweep.margins) == rep.margins
+        assert sweep.regime[cell[0]] is classify_regime(theta)
+        dec_b, dec_a = rep.decomposition_b, rep.decomposition_a
+        pairs = [
+            (sweep.p_b1[cell], dec_b.total),
+            (sweep.classical_b1[cell], dec_b.classical_part),
+            (sweep.interference_b1[cell], dec_b.interference),
+            (sweep.p_a1[cell], dec_a.total),
+            (sweep.classical_a1[cell], dec_a.classical_part),
+            (sweep.interference_a1[cell], dec_a.interference),
+        ]
+        for batch, scalar in pairs:
+            # Same arithmetic, so the same bits; signed zeros print as "0" or "-0".
+            assert batch == scalar
+            assert format(batch, ".17g") == format(scalar, ".17g")
+        oracle_b = brute_force_outcome_probability(s, BasisRelation(theta, phi), 1)
+        oracle_a = brute_force_outcome_probability(s, BasisRelation(0.0, 0.0), 1)
+        assert abs(sweep.p_b1[cell] - oracle_b) <= 1e-12
+        assert abs(sweep.p_a1[cell] - oracle_a) <= 1e-12
 
 
 def test_underextension_estimate_brackets():

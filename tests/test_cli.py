@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -147,3 +148,62 @@ def test_run_is_byte_deterministic(tmp_path):
         code, _, _ = _run(["run", str(SIMULATE), "--out", str(out)])
         assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_sweep_phi_accepts_dsl_numbers(tmp_path):
+    by_name = tmp_path / "pi.csv"
+    by_value = tmp_path / "value.csv"
+    grid = ["--theta", "0.1:1.2:3", "--theta-a", "0.5:2.5:4"]
+    assert main(["sweep", *grid, "--phi", "pi/4", "--out", str(by_name)]) == 0
+    assert main(["sweep", *grid, "--phi", "0.7853981633974483", "--out", str(by_value)]) == 0
+    assert by_name.read_bytes() == by_value.read_bytes()
+    assert by_name.read_text().splitlines()[1].split(",")[2] == "0.78539816339744828"
+
+
+def test_sweep_range_accepts_degrees(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--theta", "10deg:20deg:3", "--theta-a", "0.3:1.1:2",
+                 "--out", str(csv_path)]) == 0
+    thetas = [float(row.split(",")[0]) for row in csv_path.read_text().splitlines()[1::2]]
+    assert thetas == pytest.approx([math.radians(10), math.radians(15), math.radians(20)])
+
+
+@pytest.mark.parametrize(
+    "option", ["--phi=oops", "--phi=nan", "--phi=inf", "--phi=pi/0", "--theta=0:inf:3"]
+)
+def test_sweep_rejects_bad_numbers_with_usage_error(tmp_path, option):
+    argv = ["sweep", "--theta", "0:1:2", "--theta-a", "0:1:2", option]
+    code, _, err = _run([*argv, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "usage error" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_negative_seed_is_a_validation_error():
+    code, _, err = _run(["simulate", str(SIMULATE), "--agents", "10", "--seed", "-1"])
+    assert code == 3
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        (
+            "question a\nquestion b from a theta=inf\n",
+            "line 2, col 25: non-finite number 'inf'",
+        ),
+        (
+            "question a\nstate s pure basis=a theta_a=0.3\n"
+            "state t pure basis=a theta_a=1.1\npopulation p = nan*s + 1.0*t\n",
+            "line 4, col 16: non-finite number 'nan'",
+        ),
+    ],
+)
+def test_non_finite_numbers_are_parse_errors(tmp_path, text, diagnostic):
+    path = tmp_path / "bad.qx"
+    path.write_text(text)
+    code, out, err = _run(["run", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [diagnostic]

@@ -173,3 +173,39 @@ def test_injected_errors_report_correct_line(path):
 def test_parse_error_is_frozen_value():
     err = ParseError(3, 7, "boom", "snippet")
     assert str(err) == "line 3, col 7: boom"
+
+
+def test_parse_number_grammar():
+    assert dsl.parse_number("0.25") == 0.25
+    assert dsl.parse_number("-3pi/8") == -3 * math.pi / 8
+    assert dsl.parse_number("10deg") == math.radians(10)
+    for tok, reason in [
+        ("oops", "malformed number"),
+        ("pi/0", "division by zero"),
+        ("nan", "non-finite number"),
+        ("-inf", "non-finite number"),
+        ("1e999", "non-finite number"),
+        ("1e999deg", "malformed number"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            dsl.parse_number(tok)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "question b from a theta=nan",
+        "question b from a theta=0.1 phi=-inf",
+        "state big pure basis=a theta_a=1e400",
+        "state m mixed basis=a p1=nan",
+        "population p = nan*s + 1.0*s",
+        "task sweep pair=a,a theta=0:inf:3 theta_a=0:1:3",
+    ],
+)
+def test_non_finite_numbers_rejected_with_location(line):
+    text = "question a\nstate s pure basis=a theta_a=0.3\n" + line + "\n"
+    with pytest.raises(ExperimentSyntaxError) as info:
+        parse(text)
+    (err,) = info.value.errors
+    assert err.line == 3
+    assert "non-finite number" in err.message

@@ -37,6 +37,11 @@ def test_population_validation():
                         PopulationComponent(1.2, FALLACY_STATE, "y")))
     with pytest.raises(ValidationError):
         PopulationSpec((PopulationComponent(0.5, FALLACY_STATE, "x"),))
+    # nan passes both "< 0" and "|sum - 1| > tol" unless checked itself.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="non-finite fraction"):
+            PopulationSpec((PopulationComponent(bad, FALLACY_STATE, "x"),
+                            PopulationComponent(1.0, FALLACY_STATE, "y")))
 
 
 def test_predicted_fallacy_rate_is_affine_in_fractions():
@@ -80,3 +85,8 @@ def test_simulation_matches_prediction_statistically():
 def test_simulation_rejects_bad_agent_count():
     with pytest.raises(ValidationError):
         simulate_population(_population(), A, B, 0, 1)
+
+
+def test_simulation_rejects_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        simulate_population(_population(), A, B, 10, -1)
