@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import dsl
 from .analysis import (
@@ -35,10 +35,12 @@ from .states import (
     pure_from_angles,
 )
 
-SWEEP_HEADER = (
-    "theta,theta_a,phi,p_a1,p_b1,classical_b1,interference_b1,"
-    "classical_a1,interference_a1,fallacy_b,fallacy_a,reverse_b,reverse_a,regime"
+# Columns shared by the fallacy and sweep headers.
+_FALLACY_COLUMNS = (
+    "p_a1,p_b1,classical_b1,interference_b1,classical_a1,interference_a1,"
+    "fallacy_b,fallacy_a,reverse_b,reverse_a"
 )
+SWEEP_HEADER = f"theta,theta_a,phi,{_FALLACY_COLUMNS},regime"
 
 
 class _UsageError(Exception):
@@ -50,13 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _f(x: float) -> str:
-    """17 significant digits: re-parsing reproduces the float exactly."""
-    return format(x, ".17g")
-
-
-def _b(flag: bool) -> str:
-    return "1" if flag else "0"
+def _cell(value) -> str:
+    """One CSV field: flags as 0/1, floats with 17 significant digits (so
+    re-parsing reproduces them exactly), anything else as ``str``."""
+    if isinstance(value, bool):  # first: str(True) would print "True"
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 @dataclass
@@ -114,13 +117,13 @@ def _require_pure(state, name: str) -> PureState:
 _FLAG_FIELDS = [",".join(f"{code:04b}") for code in range(16)]
 
 
-def _sweep_lines(sweep: SweepResult) -> list[str]:
-    """Header plus one CSV row per cell, row-major in theta.
+def _sweep_lines(header: str, sweep: SweepResult) -> list[str]:
+    """The header, then one CSV row per cell, row-major in theta.
 
     The axis columns are formatted once per axis value, not once per row.
     """
-    theta_a = [_f(x) for x in sweep.theta_a.tolist()]
-    phi = _f(sweep.phi)
+    theta_a = [_cell(x) for x in sweep.theta_a.tolist()]
+    phi = _cell(sweep.phi)
     columns = [
         sweep.p_a1,
         sweep.p_b1,
@@ -132,9 +135,9 @@ def _sweep_lines(sweep: SweepResult) -> list[str]:
     codes = (
         sweep.fallacy_b * 8 + sweep.fallacy_a * 4 + sweep.reverse_b * 2 + sweep.reverse_a
     )
-    lines = [SWEEP_HEADER]
+    lines = [header]
     for i, theta in enumerate(sweep.theta.tolist()):
-        head = f"{_f(theta)},"
+        head = f"{_cell(theta)},"
         tail = f",{phi},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,{sweep.regime[i].value}"
         values = zip(*(column[i].tolist() for column in columns))
         flags = [_FLAG_FIELDS[code] for code in codes[i].tolist()]
@@ -144,153 +147,120 @@ def _sweep_lines(sweep: SweepResult) -> list[str]:
     return lines
 
 
-def _run_fallacy(task: dsl.Task, rt: Runtime) -> list[str]:
-    state_name = task.arg("state")
-    a_name, b_name = task.arg("pair")
-    s = _require_pure(rt.states[state_name], state_name)
-    rep = fallacy_report(s, rt.questions[a_name], rt.questions[b_name])
+def _csv_lines(header: str, result) -> list[str]:
+    """The header, then the rows: a sweep's raster or one line per value tuple."""
+    if isinstance(result, SweepResult):
+        return _sweep_lines(header, result)
+    return [header, *(",".join(map(_cell, row)) for row in result)]
+
+
+def _run_fallacy(args: dict, rt: Runtime):
+    state, (a, b) = args["state"], args["pair"]
+    rep = fallacy_report(
+        _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
+    )
     dec_b, dec_a = rep.decomposition_b, rep.decomposition_a
-    header = (
-        "state,a,b,p_a1,p_b1,classical_b1,interference_b1,"
-        "classical_a1,interference_a1,fallacy_b,fallacy_a,reverse_b,reverse_a"
-    )
-    row = ",".join(
-        [
-            state_name,
-            a_name,
-            b_name,
-            _f(dec_a.total),
-            _f(dec_b.total),
-            _f(dec_b.classical_part),
-            _f(dec_b.interference),
-            _f(dec_a.classical_part),
-            _f(dec_a.interference),
-            _b(rep.fallacy_on_b),
-            _b(rep.fallacy_on_a),
-            _b(rep.reverse_on_b),
-            _b(rep.reverse_on_a),
-        ]
-    )
-    return [header, row]
+    return [(
+        state, a, b, dec_a.total, dec_b.total, dec_b.classical_part, dec_b.interference,
+        dec_a.classical_part, dec_a.interference,
+        rep.fallacy_on_b, rep.fallacy_on_a, rep.reverse_on_b, rep.reverse_on_a,
+    )]
 
 
-def _run_sequence(task: dsl.Task, rt: Runtime) -> list[str]:
-    state_name = task.arg("state")
-    order = task.arg("order")
+def _run_sequence(args: dict, rt: Runtime):
+    order = args["order"]
     if len(order) > 16:
         raise ValidationError(f"sequence too long ({len(order)} questions)")
-    state = rt.states[state_name]
+    state = rt.states[args["state"]]
     rho = density_from_pure(state) if isinstance(state, PureState) else state
     questions = [rt.questions[name] for name in order]
-    rows = ["outcomes,probability"]
-    for outcomes in itertools.product((0, 1), repeat=len(order)):
-        steps = [OutcomeStep(q, o) for q, o in zip(questions, outcomes)]
-        p = consecutive_probability(rho, steps)
-        rows.append("".join(str(o) for o in outcomes) + "," + _f(p))
-    return rows
+    return [
+        (
+            "".join(map(str, outcomes)),
+            consecutive_probability(
+                rho, [OutcomeStep(q, o) for q, o in zip(questions, outcomes)]
+            ),
+        )
+        for outcomes in itertools.product((0, 1), repeat=len(order))
+    ]
 
 
-def _run_sweep_task(task: dsl.Task, rt: Runtime) -> list[str]:
-    theta = task.arg("theta")
-    theta_a = task.arg("theta_a")
-    phi = task.arg("phi")
-    sweep = sweep_fallacy_map(
+def _run_sweep(args: dict, rt: Runtime) -> SweepResult:
+    theta, theta_a = args["theta"], args["theta_a"]
+    return sweep_fallacy_map(
         GridRange(theta.start, theta.stop, theta.steps),
         GridRange(theta_a.start, theta_a.stop, theta_a.steps),
-        phi,
+        args["phi"],
     )
-    return _sweep_lines(sweep)
 
 
-def _run_simulate(
-    task: dsl.Task, rt: Runtime, agents=None, seed=None
-) -> list[str]:
-    pop_name = task.arg("population")
-    a_name, b_name = task.arg("pair")
-    n = agents if agents is not None else task.arg("agents")
-    sd = seed if seed is not None else task.arg("seed")
-    table = simulate_population(
-        rt.populations[pop_name], rt.questions[a_name], rt.questions[b_name], n, sd
+def _run_simulate(args: dict, rt: Runtime):
+    pop, (a, b) = args["population"], args["pair"]
+    t = simulate_population(
+        rt.populations[pop], rt.questions[a], rt.questions[b],
+        args["agents"], args["seed"],
     )
-    header = (
-        "population,a,b,agents,seed,count_a1,count_b1,count_a1_then_b1,"
-        "count_b1_then_a1,p_a1,p_b1,p_a1_then_b1,p_b1_then_a1"
+    return [(
+        pop, a, b, t.n_agents, t.seed,
+        t.count_a1, t.count_b1, t.count_a1_then_b1, t.count_b1_then_a1,
+        t.p_a1, t.p_b1, t.p_a1_then_b1, t.p_b1_then_a1,
+    )]
+
+
+def _run_underextension(args: dict, rt: Runtime):
+    state, (a, b) = args["state"], args["pair"]
+    est = underextension_estimate(
+        _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
     )
-    row = ",".join(
-        [
-            pop_name,
-            a_name,
-            b_name,
-            str(table.n_agents),
-            str(table.seed),
-            str(table.count_a1),
-            str(table.count_b1),
-            str(table.count_a1_then_b1),
-            str(table.count_b1_then_a1),
-            _f(table.p_a1),
-            _f(table.p_b1),
-            _f(table.p_a1_then_b1),
-            _f(table.p_b1_then_a1),
-        ]
-    )
-    return [header, row]
+    return [(
+        state, a, b, est.mu_a, est.mu_b,
+        est.and_low, est.and_high, est.or_low, est.or_high, est.underextension,
+    )]
 
 
-def _run_underextension(task: dsl.Task, rt: Runtime) -> list[str]:
-    state_name = task.arg("state")
-    a_name, b_name = task.arg("pair")
-    s = _require_pure(rt.states[state_name], state_name)
-    est = underextension_estimate(s, rt.questions[a_name], rt.questions[b_name])
-    header = "state,a,b,mu_a,mu_b,and_low,and_high,or_low,or_high,underextension"
-    row = ",".join(
-        [
-            state_name,
-            a_name,
-            b_name,
-            _f(est.mu_a),
-            _f(est.mu_b),
-            _f(est.and_low),
-            _f(est.and_high),
-            _f(est.or_low),
-            _f(est.or_high),
-            _b(est.underextension),
-        ]
-    )
-    return [header, row]
-
-
-def _run_uncertainty(task: dsl.Task, rt: Runtime) -> list[str]:
-    a_name, b_name = task.arg("pair")
+def _run_uncertainty(args: dict, rt: Runtime):
+    (a, b), steps = args["pair"], args["steps"]
     minimum, (theta_s, phi_s) = uncertainty_sum_minimum(
-        rt.questions[a_name], rt.questions[b_name], task.arg("steps")
+        rt.questions[a], rt.questions[b], steps
     )
-    header = "a,b,steps,minimum,theta_s,phi_s"
-    row = ",".join(
-        [a_name, b_name, str(task.arg("steps")), _f(minimum), _f(theta_s), _f(phi_s)]
-    )
-    return [header, row]
+    return [(a, b, steps, minimum, theta_s, phi_s)]
 
 
-def execute_tasks(spec: dsl.ExperimentSpec, seed_override=None) -> str:
-    """Run every task in declaration order and return the combined CSV text."""
+# kind -> (CSV header, runner).  A runner takes the task's arguments, which
+# dsl._TASK_ARGS declares, and the runtime; it returns its rows as value
+# tuples, or a SweepResult.
+_TASKS = {
+    "fallacy": (f"state,a,b,{_FALLACY_COLUMNS}", _run_fallacy),
+    "sequence": ("outcomes,probability", _run_sequence),
+    "sweep": (SWEEP_HEADER, _run_sweep),
+    "simulate": (
+        "population,a,b,agents,seed,count_a1,count_b1,count_a1_then_b1,"
+        "count_b1_then_a1,p_a1,p_b1,p_a1_then_b1,p_b1_then_a1",
+        _run_simulate,
+    ),
+    "underextension": (
+        "state,a,b,mu_a,mu_b,and_low,and_high,or_low,or_high,underextension",
+        _run_underextension,
+    ),
+    "uncertainty": ("a,b,steps,minimum,theta_s,phi_s", _run_uncertainty),
+}
+
+
+def execute_tasks(spec: dsl.ExperimentSpec, seed=None, agents=None) -> str:
+    """Run every task in declaration order and return the combined CSV text.
+
+    ``seed`` and ``agents``, when given, replace the arguments of those names
+    in every task that takes them (the simulate tasks).
+    """
     rt = build_runtime(spec)
+    overrides = {k: v for k, v in (("seed", seed), ("agents", agents)) if v is not None}
     sections: list[str] = []
     for idx, task in enumerate(spec.tasks):
-        if task.kind == "fallacy":
-            rows = _run_fallacy(task, rt)
-        elif task.kind == "sequence":
-            rows = _run_sequence(task, rt)
-        elif task.kind == "sweep":
-            rows = _run_sweep_task(task, rt)
-        elif task.kind == "simulate":
-            rows = _run_simulate(task, rt, seed=seed_override)
-        elif task.kind == "underextension":
-            rows = _run_underextension(task, rt)
-        elif task.kind == "uncertainty":
-            rows = _run_uncertainty(task, rt)
-        else:  # pragma: no cover - parser rejects unknown kinds
-            raise ValidationError(f"unknown task kind {task.kind!r}")
-        sections.append(f"# task {idx} {task.kind}\n" + "\n".join(rows))
+        header, runner = _TASKS[task.kind]
+        args = dict(task.args)
+        args.update((k, v) for k, v in overrides.items() if k in args)
+        lines = _csv_lines(header, runner(args, rt))
+        sections.append(f"# task {idx} {task.kind}\n" + "\n".join(lines))
     return "\n".join(sections) + ("\n" if sections else "")
 
 
@@ -319,6 +289,22 @@ def _parse_range(raw: str) -> GridRange:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return GridRange(_number(parts[0]), _number(parts[1]), steps)
+
+
+# Options whose values may start with "-" (-pi/4, -3.5:7:37).  argparse reads
+# such a value as an option unless it is a plain negative number, so main()
+# rewrites "--phi -pi/4" as "--phi=-pi/4".
+_SIGNED_OPTIONS = ("--theta", "--theta-a", "--phi")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def build_parser() -> _Parser:
@@ -352,8 +338,7 @@ def _load_spec(path: str) -> dsl.ExperimentSpec:
 
 def cmd_run(args) -> int:
     spec = _load_spec(args.file)
-    text = execute_tasks(spec, seed_override=args.seed)
-    _write_output(text, args.out)
+    _write_output(execute_tasks(spec, seed=args.seed), args.out)
     return 0
 
 
@@ -361,37 +346,30 @@ def cmd_sweep(args) -> int:
     theta = _parse_range(args.theta)
     theta_a = _parse_range(args.theta_a)
     sweep = sweep_fallacy_map(theta, theta_a, _number(args.phi))
-    _write_output("\n".join(_sweep_lines(sweep)) + "\n", args.out)
+    _write_output("\n".join(_csv_lines(SWEEP_HEADER, sweep)) + "\n", args.out)
     if args.svg is not None:
-        svg = fallacy_heatmap_svg(sweep, theta.steps, theta_a.steps)
-        with open(args.svg, "w", newline="") as fh:
-            fh.write(svg)
+        _write_output(fallacy_heatmap_svg(sweep, theta.steps, theta_a.steps), args.svg)
     return 0
 
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.file)
-    sim_tasks = [t for t in spec.tasks if t.kind == "simulate"]
-    if not sim_tasks:
+    tasks = tuple(t for t in spec.tasks if t.kind == "simulate")
+    if not tasks:
         raise ValidationError(f"{args.file}: no simulate tasks")
-    rt = build_runtime(spec)
-    sections = []
-    for idx, task in enumerate(sim_tasks):
-        rows = _run_simulate(task, rt, agents=args.agents, seed=args.seed)
-        sections.append(f"# task {idx} simulate\n" + "\n".join(rows))
-    _write_output("\n".join(sections) + "\n", args.out)
+    text = execute_tasks(replace(spec, tasks=tasks), seed=args.seed, agents=args.agents)
+    _write_output(text, args.out)
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_simulate(args)
+        args = parser.parse_args(
+            _attach_signed_values(sys.argv[1:] if argv is None else argv)
+        )
+        commands = {"run": cmd_run, "sweep": cmd_sweep, "simulate": cmd_simulate}
+        return commands[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -404,6 +382,9 @@ def main(argv=None) -> int:
         return 1
     except QOpinionError as exc:
         print(str(exc), file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

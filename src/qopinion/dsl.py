@@ -16,6 +16,11 @@ pi-fractions like ``pi/4`` or ``3pi/8``, and a ``deg`` suffix on decimals.
     task underextension state=NAME pair=NAME,NAME
     task uncertainty pair=NAME,NAME steps=INT
 
+A sweep's ``pair=`` names two declared questions but does not enter the
+output: the grid sets b's relation to a (``theta``, ``phi``) and the state
+(``theta_a``), and the raster does not depend on the frame, so ``pair=a,b``
+and ``pair=b,c`` print identical rows.
+
 Parsing collects every diagnostic in one pass instead of failing fast; on
 any error no spec is produced.
 """
@@ -212,6 +217,8 @@ class _Parser:
             self.questions.append(QuestionDecl(name))
             return
         base, base_col = toks[3]
+        if base == name:  # declared above, so check_ref would accept it
+            self.fail(line_no, base_col, f'unresolved reference "{base}"', snippet)
         self.check_ref("question", base, line_no, base_col, snippet)
         kv = self.parse_kv(toks[4:], line_no, snippet, {"theta": "float"}, {"phi": ("float", 0.0)})
         self.questions.append(QuestionDecl(name, base, kv["theta"], kv["phi"]))

@@ -1,30 +1,10 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen at import time: numba is used when importable unless
-the environment variable ``QOPINION_NO_NUMBA`` is set to a non-empty value
-other than ``0``.  Both backends consume the same pre-drawn uniform matrix
-and apply identical comparisons, so their outputs are bit-identical;
-``benchmarks/bench_population.py`` compares their speed.
-"""
-
-from __future__ import annotations
-
-import os
+"""The population answer kernel, vectorized over agents with numpy."""
 
 import numpy as np
 
-_env = os.environ.get("QOPINION_NO_NUMBA", "")
-NUMBA_DISABLED = _env not in ("", "0")
 
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - environment without numba
-        NUMBA_DISABLED = True
-
-
-def _simulate_answers_py(uniforms, cum_fractions, p_a1, p_b1, cond):
-    """Vectorized numpy backend.
+def simulate_answers(uniforms, cum_fractions, p_a1, p_b1, cond):
+    """Answers of every agent to both question orders.
 
     uniforms: (n, 5) matrix consumed column-wise per agent in the order
     component draw, A-first pair, B-first pair.  cond holds the four
@@ -45,41 +25,5 @@ def _simulate_answers_py(uniforms, cum_fractions, p_a1, p_b1, cond):
     return out
 
 
-def _simulate_answers_loop(uniforms, cum_fractions, p_a1, p_b1, cond):
-    n = uniforms.shape[0]
-    k = cum_fractions.shape[0]
-    out = np.empty((n, 4), dtype=np.uint8)
-    for agent in range(n):
-        u_comp = uniforms[agent, 0]
-        comp = k - 1
-        for c in range(k):
-            if u_comp < cum_fractions[c]:
-                comp = c
-                break
-        a_first_a = uniforms[agent, 1] < p_a1[comp]
-        if a_first_a:
-            a_first_b = uniforms[agent, 2] < cond[1]
-        else:
-            a_first_b = uniforms[agent, 2] < cond[0]
-        b_first_b = uniforms[agent, 3] < p_b1[comp]
-        if b_first_b:
-            b_first_a = uniforms[agent, 4] < cond[3]
-        else:
-            b_first_a = uniforms[agent, 4] < cond[2]
-        out[agent, 0] = a_first_a
-        out[agent, 1] = a_first_b
-        out[agent, 2] = b_first_b
-        out[agent, 3] = b_first_a
-    return out
-
-
-if NUMBA_DISABLED:
-    simulate_answers = _simulate_answers_py
-    BACKEND = "numpy"
-else:
-    simulate_answers = njit(cache=True)(_simulate_answers_loop)
-    BACKEND = "numba"
-
-
 def backend_name() -> str:
-    return BACKEND
+    return "numpy"

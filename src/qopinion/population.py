@@ -113,8 +113,7 @@ def simulate_population(
 
     Uniform variates are drawn up front as an (n, 5) matrix and consumed per
     agent in a fixed order (component draw, A-first answers, B-first
-    answers), so runs are bit-reproducible for a given seed regardless of
-    the numeric backend.
+    answers), so runs are bit-reproducible for a given seed.
     """
     if n_agents < 1:
         raise ValidationError(f"n_agents must be >= 1, got {n_agents}")

@@ -207,3 +207,65 @@ def test_non_finite_numbers_are_parse_errors(tmp_path, text, diagnostic):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [diagnostic]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--theta", "-3.5:7:37"),
+        ("--theta-a", "-pi/2:pi/2:5"),
+        ("--phi", "-pi/4"),
+        ("--phi", "-0.5"),
+    ],
+)
+def test_sweep_accepts_negative_values_after_a_space(tmp_path, option, value):
+    grid = {"--theta": "0.1:1.2:3", "--theta-a": "0.5:2.5:4"}
+    grid.pop(option, None)
+    rest = [arg for item in grid.items() for arg in item]
+    outputs = []
+    for form in ([option, value], [f"{option}={value}"]):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["sweep", *rest, *form, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_option_without_value_is_a_usage_error(tmp_path):
+    code, _, err = _run(["sweep", "--theta", "0:1:2", "--theta-a", "0:1:2",
+                         "--out", str(tmp_path / "x.csv"), "--phi"])
+    assert code == 1
+    assert "expected one argument" in err
+
+
+def test_sweep_pair_does_not_enter_the_output(tmp_path):
+    outputs = []
+    for pair in ("a,b", "b,c"):
+        path = tmp_path / "pair.qx"
+        path.write_text(
+            "question a\nquestion b from a theta=pi/4\nquestion c from b theta=1.1 phi=0.4\n"
+            f"task sweep pair={pair} theta=0.05:3.09:5 theta_a=0.05:3.09:4 phi=0.3\n"
+        )
+        out = tmp_path / "out.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["simulate", str(SIMULATE), "--agents", "10000000000000", "--seed", "1"], None),
+        (["run"], "question a\nquestion b from a theta=0.3\n"
+                  "task uncertainty pair=a,b steps=100000000000000\n"),
+    ],
+    ids=["agents", "steps"],
+)
+def test_allocation_beyond_the_address_space_exits_3(tmp_path, argv, text):
+    # Each first allocation exceeds 128 TiB, so it fails before touching memory.
+    if text is not None:
+        (tmp_path / "big.qx").write_text(text)
+        argv = [*argv, str(tmp_path / "big.qx")]
+    code, out, err = _run(argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("out of memory: ") and len(err.splitlines()) == 1

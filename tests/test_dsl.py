@@ -141,6 +141,10 @@ def test_declaration_before_use():
     with pytest.raises(ExperimentSyntaxError) as exc:
         parse("task fallacy state=s pair=a,b\nquestion a\n")
     assert exc.value.errors[0].line == 1
+    # A question cannot be tilted from itself: it is not declared before use.
+    with pytest.raises(ExperimentSyntaxError) as exc:
+        parse("question a\nquestion b from b theta=0.2\n")
+    assert [str(e) for e in exc.value.errors] == ['line 2, col 17: unresolved reference "b"']
 
 
 def _mutate_each_line(text):
