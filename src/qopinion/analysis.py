@@ -31,12 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsl import GridRange
 from .errors import PreconditionError, SingularityError, ValidationError
-from .measurement import outcome_probability
+from .measurement import OutcomeStep, consecutive_probability, outcome_probability
 from .observables import (
     BasisRelation,
     Question,
     conditional_probability,
+    eigenvectors_in_reference,
     relative_relation,
     rotate_amplitudes,
 )
@@ -81,25 +83,6 @@ class RegimeClass(enum.Enum):
     CORRELATED = "correlated"
     UNCORRELATED = "uncorrelated"
     ANTICORRELATED = "anticorrelated"
-
-
-@dataclass(frozen=True)
-class GridRange:
-    """Inclusive linear range with a fixed number of points (>= 2)."""
-
-    start: float
-    stop: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValidationError(f"grid needs at least 2 steps, got {self.steps}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValidationError("grid bounds must be finite")
-
-    def values(self) -> list[float]:
-        h = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + k * h for k in range(self.steps)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,8 +305,6 @@ def mixed_state_total_probability(
     """
     if j not in (0, 1):
         raise ValidationError(f"outcome must be 0 or 1, got {j!r}")
-    from .observables import eigenvectors_in_reference
-
     a0, a1 = eigenvectors_in_reference(a)
     off = (
         a0.amp0.conjugate() * (rho.m00 * a1.amp0 + rho.m01 * a1.amp1)
@@ -452,8 +433,6 @@ def underextension_estimate(
 ) -> UnderextensionEstimate:
     """Bracket mu(A and B) by the two ordered chain probabilities and derive
     the inclusion-exclusion range for mu(A or B)."""
-    from .measurement import OutcomeStep, consecutive_probability
-
     rho = density_from_pure(s)
     mu_a = outcome_probability(rho, a, 1)
     mu_b = outcome_probability(rho, b, 1)
@@ -484,8 +463,6 @@ def uncertainty_sum_minimum(
     """
     if grid_steps < 8:
         raise ValidationError(f"grid_steps must be >= 8, got {grid_steps}")
-    from .observables import eigenvectors_in_reference
-
     va = eigenvectors_in_reference(a)[1]
     vb = eigenvectors_in_reference(b)[1]
     theta_s = np.linspace(0.0, math.pi, grid_steps, endpoint=False)

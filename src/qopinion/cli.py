@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from . import dsl
 from .analysis import (
-    GridRange,
     SweepResult,
     fallacy_report,
     sweep_fallacy_map,
@@ -25,7 +24,13 @@ from .analysis import (
 from .errors import QOpinionError, ValidationError
 from .heatmap import fallacy_heatmap_svg
 from .measurement import OutcomeStep, consecutive_probability
-from .observables import BasisRelation, Question, compose_relations, from_basis
+from .observables import (
+    BasisRelation,
+    Question,
+    compose_relations,
+    eigenvectors_in_reference,
+    from_basis,
+)
 from .population import PopulationComponent, PopulationSpec, simulate_population
 from .states import (
     MixedState,
@@ -87,8 +92,6 @@ def build_runtime(spec: dsl.ExperimentSpec) -> Runtime:
             local = pure_from_angles(st.theta_a, st.phi_a)
             states[st.name] = from_basis(local, basis.relation_to_reference)
         else:
-            from .observables import eigenvectors_in_reference
-
             e0, e1 = eigenvectors_in_reference(basis)
             states[st.name] = mix(
                 [
@@ -186,12 +189,7 @@ def _run_sequence(args: dict, rt: Runtime):
 
 
 def _run_sweep(args: dict, rt: Runtime) -> SweepResult:
-    theta, theta_a = args["theta"], args["theta_a"]
-    return sweep_fallacy_map(
-        GridRange(theta.start, theta.stop, theta.steps),
-        GridRange(theta_a.start, theta_a.stop, theta_a.steps),
-        args["phi"],
-    )
+    return sweep_fallacy_map(args["theta"], args["theta_a"], args["phi"])
 
 
 def _run_simulate(args: dict, rt: Runtime):
@@ -272,23 +270,19 @@ def _write_output(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _number(tok: str) -> float:
-    """A numeric option in the experiment language's grammar."""
-    try:
-        return dsl.parse_number(tok)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+def _option(parse):
+    """An argparse ``type`` from a ``dsl`` parser; errors name the option."""
+
+    def read(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
 
 
-def _parse_range(raw: str) -> GridRange:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise _UsageError(f"expected START:END:STEPS, got {raw!r}")
-    try:
-        steps = int(parts[2])
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return GridRange(_number(parts[0]), _number(parts[1]), steps)
+_INT, _NUMBER, _RANGE = map(_option, (dsl.parse_int, dsl.parse_number, dsl.parse_range))
 
 
 # Options whose values may start with "-" (-pi/4, -3.5:7:37).  argparse reads
@@ -314,19 +308,19 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="execute an experiment file")
     p_run.add_argument("file")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_INT, default=None)
 
     p_sweep = sub.add_parser("sweep", help="rasterize the fallacy map")
-    p_sweep.add_argument("--theta", required=True)
-    p_sweep.add_argument("--theta-a", dest="theta_a", required=True)
-    p_sweep.add_argument("--phi", default="0.0")
+    p_sweep.add_argument("--theta", type=_RANGE, required=True)
+    p_sweep.add_argument("--theta-a", dest="theta_a", type=_RANGE, required=True)
+    p_sweep.add_argument("--phi", type=_NUMBER, default=0.0)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--svg", default=None)
 
     p_sim = sub.add_parser("simulate", help="run a file's simulate tasks")
     p_sim.add_argument("file")
-    p_sim.add_argument("--agents", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--agents", type=_INT, required=True)
+    p_sim.add_argument("--seed", type=_INT, required=True)
     p_sim.add_argument("--out", default=None)
     return parser
 
@@ -343,12 +337,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    theta = _parse_range(args.theta)
-    theta_a = _parse_range(args.theta_a)
-    sweep = sweep_fallacy_map(theta, theta_a, _number(args.phi))
-    _write_output("\n".join(_csv_lines(SWEEP_HEADER, sweep)) + "\n", args.out)
+    header, runner = _TASKS["sweep"]
+    sweep = runner(vars(args), None)
+    _write_output("\n".join(_csv_lines(header, sweep)) + "\n", args.out)
     if args.svg is not None:
-        _write_output(fallacy_heatmap_svg(sweep, theta.steps, theta_a.steps), args.svg)
+        _write_output(fallacy_heatmap_svg(sweep, len(sweep.theta), len(sweep.theta_a)), args.svg)
     return 0
 
 

@@ -1,8 +1,13 @@
 """Line-oriented experiment-description language (``.qx`` files).
 
 One directive per line; ``#`` starts a comment; names must be declared
-before use.  Angles are radians; numeric tokens accept decimals,
-pi-fractions like ``pi/4`` or ``3pi/8``, and a ``deg`` suffix on decimals.
+before use.  Angles are radians; a FLOAT is a finite decimal, pi-fraction
+(``pi/4``, ``3pi/8``) or decimal with a ``deg`` suffix; an INT is plain
+digits with an optional sign; in ``START:END:STEPS`` STEPS is an INT >= 2
+and the bounds and END - START must be finite.  The CLI reads ``--theta``,
+``--theta-a``, ``--phi``, ``--seed`` and ``--agents`` with the same
+:func:`parse_number`, :func:`parse_int` and :func:`parse_range`; a bad
+option value exits 1.
 
     question NAME
     question NAME from NAME theta=FLOAT [phi=FLOAT]
@@ -31,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import QOpinionError
+from .errors import QOpinionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,22 @@ class PopulationDecl:
 
 
 @dataclass(frozen=True)
-class RangeDecl:
+class GridRange:
+    """Inclusive linear range with a fixed number of points (>= 2)."""
+
     start: float
     stop: float
     steps: int
+
+    def __post_init__(self) -> None:
+        if self.steps < 2:
+            raise ValidationError(f"grid needs at least 2 steps, got {self.steps}")
+        if not math.isfinite(self.stop - self.start):  # also catches inf/nan bounds
+            raise ValidationError("grid bounds and their difference must be finite")
+
+    def values(self) -> list[float]:
+        h = (self.stop - self.start) / (self.steps - 1)
+        return [self.start + k * h for k in range(self.steps)]
 
 
 @dataclass(frozen=True, eq=True)
@@ -112,7 +129,7 @@ class ExperimentSpec:
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 _DEG_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)deg$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -141,6 +158,28 @@ def parse_number(tok: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {tok!r}")
     return value
+
+
+def parse_int(tok: str) -> int:
+    """Value of an integer token: decimal digits with an optional sign, so
+    not ``1_000``, ``5.0`` or ``1e3``.  Raises ValueError otherwise."""
+    if not _INT_RE.fullmatch(tok):
+        raise ValueError(f"malformed integer {tok!r}")
+    return int(tok)
+
+
+def parse_range(tok: str) -> GridRange:
+    """Value of a ``START:END:STEPS`` token: two numbers and an integer.
+    Raises ValueError with the reason, also for a range GridRange rejects."""
+    parts = tok.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected START:END:STEPS, got {tok!r}")
+    start, stop = parse_number(parts[0]), parse_number(parts[1])
+    steps = parse_int(parts[2])
+    try:
+        return GridRange(start, stop, steps)
+    except ValidationError as exc:
+        raise ValueError(str(exc)) from None
 
 
 # Required and optional key=value arguments per task kind.
@@ -183,16 +222,12 @@ class _Parser:
         self.errors.append(ParseError(line_no, col, message, snippet))
         raise _LineErrors()
 
-    def parse_float(self, tok: str, line_no: int, col: int, snippet: str) -> float:
+    def read(self, parse, tok: str, line_no: int, col: int, snippet: str):
+        """``parse(tok)``, or a diagnostic at ``col`` that gives the reason."""
         try:
-            return parse_number(tok)
+            return parse(tok)
         except ValueError as exc:
             self.fail(line_no, col, str(exc), snippet)
-
-    def parse_int(self, tok: str, line_no: int, col: int, snippet: str) -> int:
-        if not _INT_RE.match(tok):
-            self.fail(line_no, col, f"malformed integer {tok!r}", snippet)
-        return int(tok)
 
     def check_ref(self, kind: str, name: str, line_no: int, col: int, snippet: str):
         if name not in self._names[kind]:
@@ -262,7 +297,7 @@ class _Parser:
                 if "*" not in tok:
                     self.fail(line_no, col, f"expected FLOAT*NAME, got {tok!r}", snippet)
                 frac_tok, state_name = tok.split("*", 1)
-                frac = self.parse_float(frac_tok, line_no, col, snippet)
+                frac = self.read(parse_number, frac_tok, line_no, col, snippet)
                 self.check_ref("state", state_name, line_no, col + len(frac_tok) + 1, snippet)
                 components.append((frac, state_name))
                 expect_term = False
@@ -320,10 +355,9 @@ class _Parser:
         return values
 
     def parse_value(self, vtype, raw, line_no, col, snippet):
-        if vtype == "float":
-            return self.parse_float(raw, line_no, col, snippet)
-        if vtype == "int":
-            return self.parse_int(raw, line_no, col, snippet)
+        parse = {"float": parse_number, "int": parse_int, "range": parse_range}.get(vtype)
+        if parse is not None:
+            return self.read(parse, raw, line_no, col, snippet)
         if vtype in ("question", "state", "population"):
             self.check_ref(vtype, raw, line_no, col, snippet)
             return raw
@@ -341,16 +375,6 @@ class _Parser:
             for part in parts:
                 self.check_ref("question", part, line_no, col, snippet)
             return tuple(parts)
-        if vtype == "range":
-            parts = raw.split(":")
-            if len(parts) != 3:
-                self.fail(line_no, col, f"expected START:END:STEPS, got {raw!r}", snippet)
-            start = self.parse_float(parts[0], line_no, col, snippet)
-            stop = self.parse_float(parts[1], line_no, col, snippet)
-            steps = self.parse_int(parts[2], line_no, col, snippet)
-            if steps < 2:
-                self.fail(line_no, col, f"range needs at least 2 steps, got {steps}", snippet)
-            return RangeDecl(start, stop, steps)
         raise AssertionError(f"unhandled value type {vtype!r}")
 
 
@@ -389,7 +413,7 @@ def parse(text: str) -> ExperimentSpec:
 
 
 def _fmt(value: object) -> str:
-    if isinstance(value, RangeDecl):
+    if isinstance(value, GridRange):
         return f"{value.start!r}:{value.stop!r}:{value.steps}"
     if isinstance(value, tuple):
         return ",".join(value)

@@ -14,6 +14,7 @@ from typing import Union
 
 import numpy as np
 
+from .analysis import FALLACY_GUARD
 from .errors import ValidationError
 from .kernels import simulate_answers
 from .measurement import outcome_probability
@@ -21,8 +22,6 @@ from .observables import Question, conditional_probability
 from .states import MixedState, PureState, density_from_pure
 
 Preparation = Union[PureState, MixedState]
-
-_FALLACY_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def predicted_fallacy_rate(pop: PopulationSpec, a: Question, b: Question) -> flo
         rho = _as_density(comp.preparation)
         p_a1 = outcome_probability(rho, a, 1)
         p_b1 = outcome_probability(rho, b, 1)
-        if p_b1 < p_a1 * cond - _FALLACY_GUARD:
+        if p_b1 < p_a1 * cond - FALLACY_GUARD:
             rate += comp.fraction
     return rate
 

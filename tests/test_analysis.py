@@ -152,6 +152,8 @@ def test_grid_range():
         GridRange(0.0, 1.0, 1)
     with pytest.raises(ValidationError):
         GridRange(0.0, math.inf, 4)
+    with pytest.raises(ValidationError):
+        GridRange(-1e308, 1e308, 3)  # finite bounds, but the width overflows
 
 
 def test_sweep_is_row_major_in_theta():

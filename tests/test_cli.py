@@ -47,6 +47,13 @@ def test_run_every_golden_file(tmp_path):
         assert out.read_text().startswith("# task 0 ")
 
 
+@pytest.mark.parametrize("qx", sorted(GOLDEN.glob("*.qx")), ids=lambda p: p.stem)
+def test_run_reproduces_golden_csv_bytes(tmp_path, qx):
+    out = tmp_path / "out.csv"
+    assert main(["run", str(qx), "--out", str(out)]) == 0
+    assert out.read_bytes() == qx.with_suffix(".csv").read_bytes()
+
+
 def test_usage_errors_exit_1():
     code, _, err = _run(["sweep", "--theta", "0:1:4"])
     assert code == 1
@@ -169,14 +176,32 @@ def test_sweep_range_accepts_degrees(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "option", ["--phi=oops", "--phi=nan", "--phi=inf", "--phi=pi/0", "--theta=0:inf:3"]
+    "option",
+    [
+        "--phi=oops", "--phi=nan", "--phi=inf", "--phi=pi/0", "--theta=0:inf:3",
+        "--theta=0:1:1", "--theta=1e308:-1e308:3", "--theta=0:1:1_0",
+    ],
 )
 def test_sweep_rejects_bad_numbers_with_usage_error(tmp_path, option):
     argv = ["sweep", "--theta", "0:1:2", "--theta-a", "0:1:2", option]
     code, _, err = _run([*argv, "--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert "usage error" in err
+    assert f"usage error: argument {option.split('=')[0]}: " in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", str(SIMULATE), "--agents", "1_000", "--seed", "1"],
+        ["run", str(SIMULATE), "--seed", "1_0"],
+    ],
+)
+def test_integer_options_take_plain_digits_only(tmp_path, argv):
+    code, out, err = _run(argv)
+    assert code == 1
+    assert out == ""
+    assert "malformed integer" in err
 
 
 def test_simulate_negative_seed_is_a_validation_error():
@@ -197,6 +222,11 @@ def test_simulate_negative_seed_is_a_validation_error():
             "question a\nstate s pure basis=a theta_a=0.3\n"
             "state t pure basis=a theta_a=1.1\npopulation p = nan*s + 1.0*t\n",
             "line 4, col 16: non-finite number 'nan'",
+        ),
+        (
+            "question a\nquestion b from a theta=0.2\n"
+            "task sweep pair=a,b theta=1e308:-1e308:3 theta_a=0:1:3\n",
+            "line 3, col 27: grid bounds and their difference must be finite",
         ),
     ],
 )

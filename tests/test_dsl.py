@@ -8,8 +8,8 @@ from qopinion.dsl import (
     ExperimentSyntaxError,
     MixedStateDecl,
     ParseError,
+    GridRange,
     PureStateDecl,
-    RangeDecl,
     parse,
     render,
 )
@@ -73,7 +73,7 @@ def test_range_argument():
         "task sweep pair=a,b theta=0.1:pi:5 theta_a=0:1:3\n"
     )
     rng = spec.tasks[0].arg("theta")
-    assert rng == RangeDecl(0.1, math.pi, 5)
+    assert rng == GridRange(0.1, math.pi, 5)
     assert spec.tasks[0].arg("phi") == 0.0
 
 
@@ -193,6 +193,23 @@ def test_parse_number_grammar():
     ]:
         with pytest.raises(ValueError, match=reason):
             dsl.parse_number(tok)
+
+
+def test_parse_int_and_range_grammar():
+    assert dsl.parse_int("-12") == -12
+    assert dsl.parse_range("-pi:90deg:3") == GridRange(-math.pi, math.pi / 2, 3)
+    for parse, tok, reason in [
+        (dsl.parse_int, "1_000", "malformed integer"),
+        (dsl.parse_int, "5.0", "malformed integer"),
+        (dsl.parse_int, "7\n", "malformed integer"),
+        (dsl.parse_range, "0:1", "expected START:END:STEPS"),
+        (dsl.parse_range, "0:nan:3", "non-finite number"),
+        (dsl.parse_range, "0:1:1_0", "malformed integer"),
+        (dsl.parse_range, "0:1:1", "at least 2 steps"),
+        (dsl.parse_range, "1e308:-1e308:3", "difference must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            parse(tok)
 
 
 @pytest.mark.parametrize(
