@@ -1,12 +1,12 @@
 """Line-oriented experiment-description language (``.qx`` files).
 
 One directive per line; ``#`` starts a comment; names must be declared
-before use.  Angles are radians; a FLOAT is a finite decimal, pi-fraction
-(``pi/4``, ``3pi/8``) or decimal with a ``deg`` suffix; an INT is plain
-digits with an optional sign; in ``START:END:STEPS`` STEPS is an INT >= 2
-and the bounds and END - START must be finite.  The CLI reads ``--theta``,
-``--theta-a``, ``--phi``, ``--seed`` and ``--agents`` with the same
-:func:`parse_number`, :func:`parse_int` and :func:`parse_range`; a bad
+before use.  Angles are radians; a FLOAT is a finite ASCII decimal,
+pi-fraction (``pi/4``, ``3pi/8``) or decimal with a ``deg`` suffix; an INT
+is plain digits with an optional sign; in ``START:END:STEPS`` STEPS is an
+INT >= 2 and the bounds and END - START must be finite.  The CLI reads
+``--theta``, ``--theta-a``, ``--phi``, ``--seed`` and ``--agents`` with the
+same :func:`parse_number`, :func:`parse_int` and :func:`parse_range`; a bad
 option value exits 1.
 
     question NAME
@@ -127,8 +127,15 @@ class ExperimentSpec:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
-_DEG_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)deg$")
+# Number tokens are ASCII and matched whole (``fullmatch``), so neither
+# ``float()``'s extras (``1_0``, surrounding space, non-ASCII digits) nor a
+# trailing newline pass.  inf/nan are matched to be rejected as non-finite.
+_DECIMAL_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.ASCII | re.IGNORECASE,
+)
+_PI_RE = re.compile(r"([+-]?)([0-9]+(?:\.[0-9]+)?)?pi(?:/([0-9]+(?:\.[0-9]+)?))?")
+_DEG_RE = re.compile(r"([+-]?[0-9]+(?:\.[0-9]+)?)deg")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -140,21 +147,19 @@ def parse_number(tok: str) -> float:
     Raises ValueError, with the reason as its message, for a malformed
     token, a zero denominator or a value that is not finite.
     """
-    m = _PI_RE.match(tok)
-    if m:
+    if m := _PI_RE.fullmatch(tok):
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0.0:
             raise ValueError(f"division by zero in {tok!r}")
         value = sign * num * math.pi / den
-    elif m := _DEG_RE.match(tok):
+    elif m := _DEG_RE.fullmatch(tok):
         value = math.radians(float(m.group(1)))
+    elif _DECIMAL_RE.fullmatch(tok):
+        value = float(tok)
     else:
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ValueError(f"malformed number {tok!r}") from None
+        raise ValueError(f"malformed number {tok!r}")
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {tok!r}")
     return value

@@ -180,6 +180,7 @@ def test_sweep_range_accepts_degrees(tmp_path):
     [
         "--phi=oops", "--phi=nan", "--phi=inf", "--phi=pi/0", "--theta=0:inf:3",
         "--theta=0:1:1", "--theta=1e308:-1e308:3", "--theta=0:1:1_0",
+        "--phi=1_0", "--phi= 1", "--phi=\u0663", "--theta-a=0:1_0:3",
     ],
 )
 def test_sweep_rejects_bad_numbers_with_usage_error(tmp_path, option):
@@ -240,6 +241,23 @@ def test_non_finite_numbers_are_parse_errors(tmp_path, text, diagnostic):
 
 
 @pytest.mark.parametrize(
+    "line, diagnostic",
+    [
+        ("question b from a theta=1_0", "line 2, col 25: malformed number '1_0'"),
+        ("state s pure basis=a theta_a=\u0663",
+         "line 2, col 30: malformed number '\u0663'"),
+    ],
+)
+def test_malformed_numbers_are_parse_errors(tmp_path, line, diagnostic):
+    path = tmp_path / "bad.qx"
+    path.write_text(f"question a\n{line}\n", encoding="utf-8")
+    code, out, err = _run(["run", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [diagnostic]
+
+
+@pytest.mark.parametrize(
     "option, value",
     [
         ("--theta", "-3.5:7:37"),
@@ -281,20 +299,20 @@ def test_sweep_pair_does_not_enter_the_output(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# Simulate draws in fixed-size chunks, so no --agents value allocates beyond
+# the address space; test_population checks that its memory stays bounded.
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["simulate", str(SIMULATE), "--agents", "10000000000000", "--seed", "1"], None),
         (["run"], "question a\nquestion b from a theta=0.3\n"
                   "task uncertainty pair=a,b steps=100000000000000\n"),
     ],
-    ids=["agents", "steps"],
+    ids=["steps"],
 )
 def test_allocation_beyond_the_address_space_exits_3(tmp_path, argv, text):
-    # Each first allocation exceeds 128 TiB, so it fails before touching memory.
-    if text is not None:
-        (tmp_path / "big.qx").write_text(text)
-        argv = [*argv, str(tmp_path / "big.qx")]
+    # The first allocation exceeds 128 TiB, so it fails before touching memory.
+    (tmp_path / "big.qx").write_text(text)
+    argv = [*argv, str(tmp_path / "big.qx")]
     code, out, err = _run(argv)
     assert code == 3
     assert out == ""

@@ -183,8 +183,18 @@ def test_parse_number_grammar():
     assert dsl.parse_number("0.25") == 0.25
     assert dsl.parse_number("-3pi/8") == -3 * math.pi / 8
     assert dsl.parse_number("10deg") == math.radians(10)
+    for tok, value in [(".5", 0.5), ("5.", 5.0), ("+1E-3", 1e-3), ("-2.5e+1", -25.0)]:
+        assert dsl.parse_number(tok) == value
     for tok, reason in [
         ("oops", "malformed number"),
+        # Python float() takes these; the grammar is ASCII and whole-token.
+        ("1_0", "malformed number"),
+        (" 1", "malformed number"),
+        ("1\n", "malformed number"),
+        ("\u0663", "malformed number"),  # ARABIC-INDIC DIGIT THREE
+        ("\u0663pi/4", "malformed number"),
+        ("pi/4\n", "malformed number"),
+        ("10deg\n", "malformed number"),
         ("pi/0", "division by zero"),
         ("nan", "non-finite number"),
         ("-inf", "non-finite number"),

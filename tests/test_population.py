@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qopinion import (
@@ -11,7 +13,15 @@ from qopinion import (
     ValidationError,
     pure_from_angles,
 )
-from qopinion.population import predicted_fallacy_rate, simulate_population
+from qopinion import population
+from qopinion.kernels import simulate_answers
+from qopinion.measurement import outcome_probability
+from qopinion.observables import conditional_probability
+from qopinion.population import (
+    SimulationTable,
+    predicted_fallacy_rate,
+    simulate_population,
+)
 
 A = Question("a")
 B = Question("b", BasisRelation(0.2, 0.0))
@@ -90,3 +100,66 @@ def test_simulation_rejects_bad_agent_count():
 def test_simulation_rejects_negative_seed():
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         simulate_population(_population(), A, B, 10, -1)
+
+
+def _reference_counts(pop, a, b, n_agents, seed):
+    """The unchunked algorithm: one (n, 5) draw, the kernel, then
+    count_nonzero.  Returns the four counts and the 16 joint counts."""
+    uniforms = np.random.default_rng(seed).random((n_agents, 5))
+    rhos = [population._as_density(c.preparation) for c in pop.components]
+    cum = np.cumsum([c.fraction for c in pop.components])
+    cum[-1] = max(cum[-1], 1.0)
+    answers = simulate_answers(
+        uniforms,
+        cum,
+        np.array([outcome_probability(r, a, 1) for r in rhos]),
+        np.array([outcome_probability(r, b, 1) for r in rhos]),
+        np.array([
+            conditional_probability(a, 0, b, 1), conditional_probability(a, 1, b, 1),
+            conditional_probability(b, 0, a, 1), conditional_probability(b, 1, a, 1),
+        ]),
+    ).astype(bool)
+    a_a, a_b, b_b, b_a = answers.T
+    counts = (
+        np.count_nonzero(a_a), np.count_nonzero(b_b),
+        np.count_nonzero(a_a & a_b), np.count_nonzero(b_b & b_a),
+    )
+    joint = tuple(
+        int(np.count_nonzero((answers == [(code >> bit) & 1 for bit in range(4)]).all(axis=1)))
+        for code in range(16)
+    )
+    return tuple(int(c) for c in counts), joint
+
+
+THREE_WAY = PopulationSpec(
+    (
+        PopulationComponent(0.5, FALLACY_STATE, "swayed"),
+        PopulationComponent(0.3, DIAGONAL_STATE, "classical"),
+        PopulationComponent(0.2, MixedState(0.3, 0.7, 0.2 + 0.1j), "coherent"),
+    )
+)
+CHUNK = population._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_chunked_draws_match_one_draw(n, seed):
+    table = simulate_population(THREE_WAY, A, B, n, seed)
+    counts, joint = _reference_counts(THREE_WAY, A, B, n, seed)
+    assert table == SimulationTable(n, seed, joint)
+    assert (
+        table.count_a1, table.count_b1, table.count_a1_then_b1, table.count_b1_then_a1
+    ) == counts
+    assert len(table.joint_counts) == 16
+    assert sum(table.joint_counts) == n
+
+
+def test_simulation_memory_does_not_grow_with_agents():
+    # One (2^22, 5) float64 draw alone would be 160 MiB.
+    tracemalloc.start()
+    try:
+        simulate_population(THREE_WAY, A, B, 1 << 22, 5)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 16

@@ -1,0 +1,139 @@
+"""Alternating base/change pairs of the benchmark, summarised per metric.
+
+    python3 tools/bench_pairs.py --base REV --pairs N --out FILE
+
+The change side is this checkout's working tree; the base side is REV,
+extracted with ``git archive`` under ``.bench_build/base-<commit>/``.  For
+each of N pairs and each workload it runs ``perfbench/run.py --workload W
+--seed S --seconds 0 --trace 0`` once per side (pair i uses seed
+FIRST_SEED + i; the side that runs first alternates), then one traced pass
+(``--workload all --trace 1``) per side.  FILE gets, per workload and
+end-to-end metric of ``BENCHMARK.json``, each side's values, median and
+quartiles and the number of pairs the change won (ties count for neither),
+failed/attempted invocations per side, the traced per-layer metrics and
+the environment block.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIRST_SEED = 41
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def extract(rev: str) -> tuple[str, Path]:
+    """Commit id of ``rev`` and a fresh copy of its files."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    tree = ROOT / ".bench_build" / f"base-{commit[:12]}"
+    shutil.rmtree(tree, ignore_errors=True)
+    tree.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+    return commit, tree
+
+
+def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """Last-line JSON result of one perfbench run in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench failed in {tree} ({workload}, seed {seed}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Per-metric spread of each side and the change's win count."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        out[name] = {
+            "unit": m["unit"], "better": m["better"],
+            "base": spread(base), "change": spread(change), "change_wins": wins,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 (quartiles need two values)")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    commit, base_tree = extract(args.base)
+    trees = {"base": base_tree, "change": ROOT}
+    runs = {w: {"base": [], "change": []} for w in workloads}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for w in workloads:
+            for side in order:
+                runs[w][side].append(bench(trees[side], w, FIRST_SEED + i, 0))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    traced = {side: bench(tree, "all", FIRST_SEED, 1) for side, tree in trees.items()}
+
+    env_record = ROOT / ".bench_build" / "perfbench" / f"{workloads[0]}-seed{FIRST_SEED}-trace0.json"
+    result = {
+        "command": f"python3 tools/bench_pairs.py --base {args.base} --pairs {args.pairs} "
+        f"--out {args.out}",
+        "base": commit,
+        "change": _git("rev-parse", "HEAD")
+        + ("+uncommitted" if _git("status", "--porcelain", "--untracked-files=no") else ""),
+        "pairs": args.pairs,
+        "seeds": [FIRST_SEED + i for i in range(args.pairs)],
+        "workloads": {
+            w: {
+                "failed": {
+                    side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
+                    for side, rs in runs[w].items()
+                },
+                "metrics": summarise(spec["end_to_end"], runs[w]),
+            }
+            for w in workloads
+        },
+        "traced": {
+            side: {"failed": f"{r['failed']}/{r['attempted']}",
+                   "metrics": {k: v["value"] for k, v in r["metrics"].items()}}
+            for side, r in traced.items()
+        },
+        "environment": json.loads(env_record.read_text())["environment"],
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
