@@ -403,6 +403,12 @@ def sweep_fallacy_map(
     one batch through the arithmetic of :func:`fallacy_report`, so every
     cell equals the report for its point.
     """
+    # One raster-sized array before any per-axis list: a grid too large for
+    # memory fails here at once (MemoryError), not after filling the lists.
+    try:
+        np.empty((theta_grid.steps, theta_a_grid.steps))
+    except ValueError as exc:  # numpy: the byte count overflows
+        raise MemoryError(exc) from None
     reference = Question("a")
     thetas, theta_as = theta_grid.values(), theta_a_grid.values()
     states = [pure_from_angles(theta_a, 0.0) for theta_a in theta_as]

@@ -1,9 +1,10 @@
 """Command-line front end: run experiment files, sweeps and simulations.
 
-Exit codes: 0 success, 1 usage error, 2 experiment-file parse error,
-3 validation error.  All results go to the selected output stream as CSV
-(sections separated by ``# task`` comment lines when a file contains more
-than one task); diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error or a file that cannot be opened,
+2 experiment-file parse error (also a file that is not UTF-8), 3 validation
+error or out of memory.  All results go to the selected output stream as
+CSV (sections separated by ``# task`` comment lines when a file contains
+more than one task); diagnostics go to stderr, one line each.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .population import PopulationComponent, PopulationSpec, simulate_population
 from .states import (
     MixedState,
     PureState,
+    _as_density,
     density_from_pure,
     mix,
     pure_from_angles,
@@ -48,13 +50,17 @@ _FALLACY_COLUMNS = (
 SWEEP_HEADER = f"theta,theta_a,phi,{_FALLACY_COLUMNS},regime"
 
 
-class _UsageError(Exception):
-    pass
+class _CliError(Exception):
+    """A one-line message for stderr and the exit code that goes with it."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
-        raise _UsageError(message)
+        raise _CliError(f"usage error: {message}", 1)
 
 
 def _cell(value) -> str:
@@ -174,8 +180,7 @@ def _run_sequence(args: dict, rt: Runtime):
     order = args["order"]
     if len(order) > 16:
         raise ValidationError(f"sequence too long ({len(order)} questions)")
-    state = rt.states[args["state"]]
-    rho = density_from_pure(state) if isinstance(state, PureState) else state
+    rho = _as_density(rt.states[args["state"]])
     questions = [rt.questions[name] for name in order]
     return [
         (
@@ -326,8 +331,11 @@ def build_parser() -> _Parser:
 
 
 def _load_spec(path: str) -> dsl.ExperimentSpec:
-    with open(path, encoding="utf-8") as fh:
-        return dsl.parse(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return dsl.parse(fh.read())
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8 text ({exc.reason})", 2) from None
 
 
 def cmd_run(args) -> int:
@@ -363,14 +371,14 @@ def main(argv=None) -> int:
         )
         commands = {"run": cmd_run, "sweep": cmd_sweep, "simulate": cmd_simulate}
         return commands[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    except _CliError as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code
     except dsl.ExperimentSyntaxError as exc:
         for err in exc.errors:
             print(f"{err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except QOpinionError as exc:

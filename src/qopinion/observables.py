@@ -100,16 +100,14 @@ def inverse_relation(rel: BasisRelation) -> BasisRelation:
     return BasisRelation(rel.theta, rel.phi + math.pi)
 
 
-def _relation_from_columns(
-    v00: complex, v10: complex, tol: float = 1e-12
-) -> BasisRelation:
+def _relation_from_columns(v00: complex, v10: complex) -> BasisRelation:
     """Extract canonical (theta, phi) from the first column of a basis
     transition matrix, after rephasing the column so v00 is real >= 0."""
     m = min(abs(v00), 1.0)
     theta = math.acos(m)
-    if abs(v10) <= tol:
+    if abs(v10) <= _DEGENERATE_TOL:
         phi = 0.0
-    elif m <= tol:
+    elif m <= _DEGENERATE_TOL:
         phi = cmath.phase(-v10)
     else:
         phi = cmath.phase(-v10) - cmath.phase(v00)

@@ -10,24 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .analysis import FALLACY_GUARD
 from .errors import ValidationError
-from .kernels import simulate_answers
+from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
 from .observables import Question, conditional_probability
-from .states import MixedState, PureState, density_from_pure
-
-Preparation = Union[PureState, MixedState]
+from .states import MixedState, PureState, _as_density
 
 
 @dataclass(frozen=True)
 class PopulationComponent:
     fraction: float
-    preparation: Preparation
+    preparation: PureState | MixedState
     label: str
 
 
@@ -55,9 +52,6 @@ class PopulationSpec:
             raise ValidationError(f"fractions sum to {total!r}, expected 1")
 
 
-# Bit of each answer in an agent's 4-bit answer code.
-_A_FIRST_A, _A_FIRST_B, _B_FIRST_B, _B_FIRST_A = 1, 2, 4, 8
-_CODE_WEIGHTS = np.array([_A_FIRST_A, _A_FIRST_B, _B_FIRST_B, _B_FIRST_A], dtype=np.uint8)
 # Rows of uniforms per draw: memory stays O(chunk) whatever the agent count.
 # At 10^7 agents 2^14-2^16 rows (2.5 MB at 2^16) ran faster than 2^18-2^20.
 _CHUNK_ROWS = 1 << 16
@@ -68,8 +62,8 @@ class SimulationTable:
     """Empirical answer frequencies for the two ordered sequences.
 
     ``joint_counts[code]`` is the number of agents whose four yes/no answers
-    pack to ``code = aA | aB<<1 | bB<<2 | bA<<3``: A then B gives (aA, aB),
-    B then A gives (bB, bA).  The 16 counts sum to ``n_agents``.
+    pack to the answer code ``code`` of :mod:`kernels` (``aA | aB<<1 |
+    bB<<2 | bA<<3``).  The 16 counts sum to ``n_agents``.
     """
 
     n_agents: int
@@ -82,19 +76,19 @@ class SimulationTable:
 
     @property
     def count_a1(self) -> int:
-        return self._count(_A_FIRST_A)
+        return self._count(A_FIRST_A)
 
     @property
     def count_b1(self) -> int:
-        return self._count(_B_FIRST_B)
+        return self._count(B_FIRST_B)
 
     @property
     def count_a1_then_b1(self) -> int:
-        return self._count(_A_FIRST_A | _A_FIRST_B)
+        return self._count(A_FIRST_A | A_FIRST_B)
 
     @property
     def count_b1_then_a1(self) -> int:
-        return self._count(_B_FIRST_B | _B_FIRST_A)
+        return self._count(B_FIRST_B | B_FIRST_A)
 
     @property
     def p_a1(self) -> float:
@@ -113,8 +107,22 @@ class SimulationTable:
         return self.count_b1_then_a1 / self.n_agents
 
 
-def _as_density(prep: Preparation) -> MixedState:
-    return density_from_pure(prep) if isinstance(prep, PureState) else prep
+def _crowd_model(pop: PopulationSpec, a: Question, b: Question):
+    """The crowd as the kernel reads it: cumulative component fractions, P(a1)
+    and P(b1) per component, and the conditionals (b1|a0, b1|a1, a1|b0, a1|b1)."""
+    rhos = [_as_density(c.preparation) for c in pop.components]
+    cum = np.cumsum([c.fraction for c in pop.components])
+    p_a1 = np.array([outcome_probability(rho, a, 1) for rho in rhos])
+    p_b1 = np.array([outcome_probability(rho, b, 1) for rho in rhos])
+    cond = np.array(
+        [
+            conditional_probability(a, 0, b, 1),
+            conditional_probability(a, 1, b, 1),
+            conditional_probability(b, 0, a, 1),
+            conditional_probability(b, 1, a, 1),
+        ]
+    )
+    return cum, p_a1, p_b1, cond
 
 
 def predicted_fallacy_rate(pop: PopulationSpec, a: Question, b: Question) -> float:
@@ -124,13 +132,11 @@ def predicted_fallacy_rate(pop: PopulationSpec, a: Question, b: Question) -> flo
     it applies uniformly to pure and mixed preparations; diagonal mixtures
     can never satisfy it.  The rate is affine in the component fractions.
     """
-    cond = conditional_probability(a, 1, b, 1)
+    _, p_a1, p_b1, cond = _crowd_model(pop, a, b)
     rate = 0.0
-    for comp in pop.components:
-        rho = _as_density(comp.preparation)
-        p_a1 = outcome_probability(rho, a, 1)
-        p_b1 = outcome_probability(rho, b, 1)
-        if p_b1 < p_a1 * cond - FALLACY_GUARD:
+    # One += per component, in order: sum() and ndarray.sum() round otherwise.
+    for comp, flagged in zip(pop.components, p_b1 < p_a1 * cond[1] - FALLACY_GUARD):
+        if flagged:
             rate += comp.fraction
     return rate
 
@@ -143,34 +149,19 @@ def simulate_population(
     Uniform variates come from one ``default_rng(seed)`` generator, drawn
     in sequential chunks of (at most ``_CHUNK_ROWS``, 5): the same stream as
     one (n, 5) draw, so runs are bit-reproducible for a given seed and
-    memory does not grow with ``n_agents``.  Each agent consumes its row in
-    a fixed order (component draw, A-first answers, B-first answers).
+    memory does not grow with ``n_agents``.  The kernel turns each row, in a
+    fixed order (component draw, A-first answers, B-first answers), into the
+    agent's 4-bit answer code, and the table counts the codes.
     """
     if n_agents < 1:
         raise ValidationError(f"n_agents must be >= 1, got {n_agents}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    fractions = np.array([c.fraction for c in pop.components], dtype=np.float64)
-    cum = np.cumsum(fractions)
-    cum[-1] = max(cum[-1], 1.0)
-    p_a1 = np.array(
-        [outcome_probability(_as_density(c.preparation), a, 1) for c in pop.components]
-    )
-    p_b1 = np.array(
-        [outcome_probability(_as_density(c.preparation), b, 1) for c in pop.components]
-    )
-    cond = np.array(
-        [
-            conditional_probability(a, 0, b, 1),
-            conditional_probability(a, 1, b, 1),
-            conditional_probability(b, 0, a, 1),
-            conditional_probability(b, 1, a, 1),
-        ]
-    )
+    model = _crowd_model(pop, a, b)
     rng = np.random.default_rng(seed)
     joint = np.zeros(16, dtype=np.int64)
     for start in range(0, n_agents, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, n_agents - start)
-        answers = simulate_answers(rng.random((rows, 5)), cum, p_a1, p_b1, cond)
-        joint += np.bincount(answers @ _CODE_WEIGHTS, minlength=16)
+        codes = simulate_answers(rng.random((rows, 5)), *model)
+        joint += np.bincount(codes, minlength=16)
     return SimulationTable(n_agents, seed, tuple(int(n) for n in joint))

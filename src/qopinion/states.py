@@ -133,6 +133,10 @@ def density_from_pure(s: PureState) -> MixedState:
     )
 
 
+def _as_density(state: PureState | MixedState) -> MixedState:
+    return density_from_pure(state) if isinstance(state, PureState) else state
+
+
 def mix(components: list[tuple[float, MixedState]]) -> MixedState:
     """Convex combination of density matrices.
 

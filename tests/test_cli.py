@@ -64,6 +64,32 @@ def test_usage_errors_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{dir}"],
+        ["run", str(BASIC), "--out", "{dir}"],
+        ["sweep", "--theta", "0:1:3", "--theta-a", "0:1:3", "--out", "{dir}"],
+    ],
+    ids=["run-dir", "out-dir", "sweep-out-dir"],
+)
+def test_unreadable_or_unwritable_path_exits_1(tmp_path, argv):
+    code, out, err = _run([arg.format(dir=tmp_path) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(tmp_path) in err
+
+
+def test_non_utf8_file_exits_2_naming_the_file(tmp_path):
+    bad = tmp_path / "bad.qx"
+    bad.write_bytes(b"\xff\xfequestion a\n")
+    for argv in (["run", str(bad)], ["simulate", str(bad), "--agents", "3", "--seed", "1"]):
+        code, out, err = _run(argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"{bad}: not UTF-8 text (invalid start byte)"]
+
+
 def test_parse_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.qx"
     bad.write_text("question a\nquestion b from a theta=oops\nwibble\n")
@@ -301,19 +327,29 @@ def test_sweep_pair_does_not_enter_the_output(tmp_path):
 
 # Simulate draws in fixed-size chunks, so no --agents value allocates beyond
 # the address space; test_population checks that its memory stays bounded.
+# A sweep allocates one raster-sized array before any per-axis Python list.
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["run"], "question a\nquestion b from a theta=0.3\n"
-                  "task uncertainty pair=a,b steps=100000000000000\n"),
+        (["run", "{tmp}/big.qx"], "question a\nquestion b from a theta=0.3\n"
+                                  "task uncertainty pair=a,b steps=100000000000000\n"),
+        (["run", "{tmp}/big.qx"], "question a\nquestion b from a theta=0.3\n"
+                                  "task sweep pair=a,b theta=0:1:100000000000000 theta_a=0:1:4\n"),
+        (["sweep", "--theta", "0:1:100000000000000", "--theta-a", "0:1:4",
+          "--out", "{tmp}/big.csv"], ""),
+        (["sweep", "--theta", "0:1:10000000", "--theta-a", "0:1:10000000",
+          "--out", "{tmp}/big.csv"], ""),
+        (["sweep", "--theta", "0:1:100000000000000", "--theta-a", "0:1:100000000000000",
+          "--out", "{tmp}/big.csv"], ""),
     ],
-    ids=["steps"],
+    ids=["steps", "sweep", "sweep-option", "sweep-cells", "sweep-bytes-overflow"],
 )
 def test_allocation_beyond_the_address_space_exits_3(tmp_path, argv, text):
-    # The first allocation exceeds 128 TiB, so it fails before touching memory.
+    # The first allocation exceeds 128 TiB (or its byte count overflows), so it
+    # fails before touching memory.
     (tmp_path / "big.qx").write_text(text)
-    argv = [*argv, str(tmp_path / "big.qx")]
-    code, out, err = _run(argv)
+    code, out, err = _run([arg.format(tmp=tmp_path) for arg in argv])
     assert code == 3
     assert out == ""
     assert err.startswith("out of memory: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "big.csv").exists()

@@ -11,6 +11,8 @@ from qopinion import (
     PopulationSpec,
     Question,
     ValidationError,
+    compose_relations,
+    fallacy_report,
     pure_from_angles,
 )
 from qopinion import population
@@ -22,6 +24,7 @@ from qopinion.population import (
     predicted_fallacy_rate,
     simulate_population,
 )
+from qopinion.states import _as_density
 
 A = Question("a")
 B = Question("b", BasisRelation(0.2, 0.0))
@@ -65,6 +68,24 @@ def test_diagonal_components_never_count():
     assert predicted_fallacy_rate(pop, A, B) == 0.0
 
 
+def test_one_component_rate_agrees_with_fallacy_report():
+    # The density path (predicted_fallacy_rate) and the amplitude path
+    # (fallacy_report) are two definitions of the same b-side flag.
+    rng = np.random.default_rng(20070)
+    flagged = 0
+    for _ in range(2000):
+        theta_a, phi_a, t1, p1, t2, p2 = rng.uniform(-4.0, 7.0, 6)
+        a_rel = BasisRelation(t1, p1)
+        a = Question("a", a_rel)
+        b = Question("b", compose_relations(a_rel, BasisRelation(t2, p2)))
+        state = pure_from_angles(theta_a, phi_a)
+        pop = PopulationSpec((PopulationComponent(1.0, state, "only"),))
+        expected = 1.0 if fallacy_report(state, a, b).fallacy_on_b else 0.0
+        assert predicted_fallacy_rate(pop, a, b) == expected
+        flagged += expected == 1.0
+    assert 200 < flagged < 1800
+
+
 def test_simulation_is_seed_deterministic():
     pop = _population()
     t1 = simulate_population(pop, A, B, 5000, 99)
@@ -104,12 +125,13 @@ def test_simulation_rejects_negative_seed():
 
 def _reference_counts(pop, a, b, n_agents, seed):
     """The unchunked algorithm: one (n, 5) draw, the kernel, then
-    count_nonzero.  Returns the four counts and the 16 joint counts."""
+    count_nonzero over its unpacked answer codes.  Returns the four counts
+    and the 16 joint counts."""
     uniforms = np.random.default_rng(seed).random((n_agents, 5))
-    rhos = [population._as_density(c.preparation) for c in pop.components]
+    rhos = [_as_density(c.preparation) for c in pop.components]
     cum = np.cumsum([c.fraction for c in pop.components])
     cum[-1] = max(cum[-1], 1.0)
-    answers = simulate_answers(
+    codes = simulate_answers(
         uniforms,
         cum,
         np.array([outcome_probability(r, a, 1) for r in rhos]),
@@ -118,7 +140,8 @@ def _reference_counts(pop, a, b, n_agents, seed):
             conditional_probability(a, 0, b, 1), conditional_probability(a, 1, b, 1),
             conditional_probability(b, 0, a, 1), conditional_probability(b, 1, a, 1),
         ]),
-    ).astype(bool)
+    )
+    answers = np.stack([(codes >> bit) & 1 for bit in range(4)], axis=1).astype(bool)
     a_a, a_b, b_b, b_a = answers.T
     counts = (
         np.count_nonzero(a_a), np.count_nonzero(b_b),
