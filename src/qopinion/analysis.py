@@ -391,6 +391,15 @@ def classify_regime(theta: float) -> RegimeClass:
     return RegimeClass.ANTICORRELATED
 
 
+def _reserve_raster(rows: int, cols: int) -> None:
+    """Allocate one (rows, cols) float array, never touched, so a raster too
+    large for memory fails at once with MemoryError, before any work."""
+    try:
+        np.empty((rows, cols))
+    except ValueError as exc:  # numpy: a dimension or the byte count overflows
+        raise MemoryError(exc) from None
+
+
 def sweep_fallacy_map(
     theta_grid: GridRange, theta_a_grid: GridRange, phi: float
 ) -> SweepResult:
@@ -403,12 +412,7 @@ def sweep_fallacy_map(
     one batch through the arithmetic of :func:`fallacy_report`, so every
     cell equals the report for its point.
     """
-    # One raster-sized array before any per-axis list: a grid too large for
-    # memory fails here at once (MemoryError), not after filling the lists.
-    try:
-        np.empty((theta_grid.steps, theta_a_grid.steps))
-    except ValueError as exc:  # numpy: the byte count overflows
-        raise MemoryError(exc) from None
+    _reserve_raster(theta_grid.steps, theta_a_grid.steps)
     reference = Question("a")
     thetas, theta_as = theta_grid.values(), theta_a_grid.values()
     states = [pure_from_angles(theta_a, 0.0) for theta_a in theta_as]
@@ -469,6 +473,7 @@ def uncertainty_sum_minimum(
     """
     if grid_steps < 8:
         raise ValidationError(f"grid_steps must be >= 8, got {grid_steps}")
+    _reserve_raster(grid_steps, grid_steps)
     va = eigenvectors_in_reference(a)[1]
     vb = eigenvectors_in_reference(b)[1]
     theta_s = np.linspace(0.0, math.pi, grid_steps, endpoint=False)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import QOpinionError, ValidationError
 
@@ -208,179 +208,153 @@ class _LineErrors(QOpinionError):
     """Internal: abort the current directive after recording diagnostics."""
 
 
-@dataclass
-class _Parser:
-    errors: list[ParseError] = field(default_factory=list)
+_NUMERIC = {"float": parse_number, "int": parse_int, "range": parse_range}
 
-    def __post_init__(self) -> None:
+
+class _Parser:
+    def __init__(self) -> None:
+        self.errors: list[ParseError] = []
+        # Number and raw text of the line being read; every diagnostic cites them.
+        self.line_no, self.snippet = 0, ""
         self.questions: list[QuestionDecl] = []
         self.states: list[PureStateDecl | MixedStateDecl] = []
         self.populations: list[PopulationDecl] = []
         self.tasks: list[Task] = []
-        self._names: dict[str, set[str]] = {
-            "question": set(),
-            "state": set(),
-            "population": set(),
-        }
+        self._names: dict[str, set[str]] = {k: set() for k in ("question", "state", "population")}
 
-    def fail(self, line_no: int, col: int, message: str, snippet: str):
-        self.errors.append(ParseError(line_no, col, message, snippet))
+    def fail(self, col: int, message: str):
+        self.errors.append(ParseError(self.line_no, col, message, self.snippet))
         raise _LineErrors()
 
-    def read(self, parse, tok: str, line_no: int, col: int, snippet: str):
+    def read(self, parse, tok: str, col: int):
         """``parse(tok)``, or a diagnostic at ``col`` that gives the reason."""
         try:
             return parse(tok)
         except ValueError as exc:
-            self.fail(line_no, col, str(exc), snippet)
+            self.fail(col, str(exc))
 
-    def check_ref(self, kind: str, name: str, line_no: int, col: int, snippet: str):
+    def check_ref(self, kind: str, name: str, col: int):
         if name not in self._names[kind]:
-            self.fail(line_no, col, f'unresolved reference "{name}"', snippet)
+            self.fail(col, f'unresolved reference "{name}"')
 
-    def declare(self, kind: str, name: str, line_no: int, col: int, snippet: str):
+    def declare(self, kind: str, name: str, col: int):
         if not _NAME_RE.match(name):
-            self.fail(line_no, col, f"invalid name {name!r}", snippet)
+            self.fail(col, f"invalid name {name!r}")
         if name in self._names[kind]:
-            self.fail(line_no, col, f'duplicate {kind} name "{name}"', snippet)
+            self.fail(col, f'duplicate {kind} name "{name}"')
         self._names[kind].add(name)
 
     # --- directives -----------------------------------------------------
 
-    def parse_question(self, toks, line_no, snippet):
+    def parse_question(self, toks):
         if len(toks) not in (2, 5, 6) or (len(toks) > 2 and toks[2][0] != "from"):
             col = toks[min(2, len(toks) - 1)][1] if len(toks) > 1 else toks[0][1]
-            self.fail(line_no, col, "expected: question NAME [from NAME theta=F [phi=F]]", snippet)
+            self.fail(col, "expected: question NAME [from NAME theta=F [phi=F]]")
         name, name_col = toks[1]
-        self.declare("question", name, line_no, name_col, snippet)
+        self.declare("question", name, name_col)
         if len(toks) == 2:
             self.questions.append(QuestionDecl(name))
             return
         base, base_col = toks[3]
         if base == name:  # declared above, so check_ref would accept it
-            self.fail(line_no, base_col, f'unresolved reference "{base}"', snippet)
-        self.check_ref("question", base, line_no, base_col, snippet)
-        kv = self.parse_kv(toks[4:], line_no, snippet, {"theta": "float"}, {"phi": ("float", 0.0)})
+            self.fail(base_col, f'unresolved reference "{base}"')
+        self.check_ref("question", base, base_col)
+        kv = self.parse_kv(toks[4:], {"theta": "float"}, {"phi": ("float", 0.0)})
         self.questions.append(QuestionDecl(name, base, kv["theta"], kv["phi"]))
 
-    def parse_state(self, toks, line_no, snippet):
+    def parse_state(self, toks):
         if len(toks) < 3 or toks[2][0] not in ("pure", "mixed"):
-            col = toks[min(2, len(toks) - 1)][1]
-            self.fail(line_no, col, "expected: state NAME pure|mixed ...", snippet)
+            self.fail(toks[min(2, len(toks) - 1)][1], "expected: state NAME pure|mixed ...")
         name, name_col = toks[1]
-        self.declare("state", name, line_no, name_col, snippet)
-        kind = toks[2][0]
-        if kind == "pure":
+        self.declare("state", name, name_col)
+        if toks[2][0] == "pure":
             kv = self.parse_kv(
-                toks[3:], line_no, snippet,
-                {"basis": "question", "theta_a": "float"},
-                {"phi_a": ("float", 0.0)},
+                toks[3:], {"basis": "question", "theta_a": "float"}, {"phi_a": ("float", 0.0)}
             )
-            self.states.append(
-                PureStateDecl(name, kv["basis"], kv["theta_a"], kv["phi_a"])
-            )
+            self.states.append(PureStateDecl(name, kv["basis"], kv["theta_a"], kv["phi_a"]))
         else:
-            kv = self.parse_kv(
-                toks[3:], line_no, snippet,
-                {"basis": "question", "p1": "float"}, {},
-            )
+            kv = self.parse_kv(toks[3:], {"basis": "question", "p1": "float"}, {})
             if not (0.0 <= kv["p1"] <= 1.0):
-                self.fail(line_no, toks[3][1], f"p1 must lie in [0, 1], got {kv['p1']!r}", snippet)
+                self.fail(toks[3][1], f"p1 must lie in [0, 1], got {kv['p1']!r}")
             self.states.append(MixedStateDecl(name, kv["basis"], kv["p1"]))
 
-    def parse_population(self, toks, line_no, snippet):
+    def parse_population(self, toks):
         if len(toks) < 4 or toks[2][0] != "=":
             col = toks[min(2, len(toks) - 1)][1]
-            self.fail(line_no, col, "expected: population NAME = FLOAT*NAME [+ ...]", snippet)
+            self.fail(col, "expected: population NAME = FLOAT*NAME [+ ...]")
         name, name_col = toks[1]
-        self.declare("population", name, line_no, name_col, snippet)
+        self.declare("population", name, name_col)
         terms = toks[3:]
         components: list[tuple[float, str]] = []
-        expect_term = True
-        for tok, col in terms:
-            if expect_term:
-                if "*" not in tok:
-                    self.fail(line_no, col, f"expected FLOAT*NAME, got {tok!r}", snippet)
-                frac_tok, state_name = tok.split("*", 1)
-                frac = self.read(parse_number, frac_tok, line_no, col, snippet)
-                self.check_ref("state", state_name, line_no, col + len(frac_tok) + 1, snippet)
-                components.append((frac, state_name))
-                expect_term = False
-            else:
+        # FLOAT*NAME at even positions, '+' at odd ones.
+        for i, (tok, col) in enumerate(terms):
+            if i % 2:
                 if tok != "+":
-                    self.fail(line_no, col, f"expected '+', got {tok!r}", snippet)
-                expect_term = True
-        if expect_term:
-            self.fail(line_no, terms[-1][1], "trailing '+' in population", snippet)
+                    self.fail(col, f"expected '+', got {tok!r}")
+                continue
+            if "*" not in tok:
+                self.fail(col, f"expected FLOAT*NAME, got {tok!r}")
+            frac_tok, state_name = tok.split("*", 1)
+            frac = self.read(parse_number, frac_tok, col)
+            self.check_ref("state", state_name, col + len(frac_tok) + 1)
+            components.append((frac, state_name))
+        if len(terms) % 2 == 0:
+            self.fail(terms[-1][1], "trailing '+' in population")
         total = sum(f for f, _ in components)
         if abs(total - 1.0) > 1e-9:
-            self.fail(line_no, terms[0][1], f"fractions sum to {total!r}, expected 1", snippet)
+            self.fail(terms[0][1], f"fractions sum to {total!r}, expected 1")
         self.populations.append(PopulationDecl(name, tuple(components)))
 
-    def parse_task(self, toks, line_no, snippet):
+    def parse_task(self, toks):
         if len(toks) < 2:
-            self.fail(line_no, toks[0][1], "expected: task KIND key=value ...", snippet)
+            self.fail(toks[0][1], "expected: task KIND key=value ...")
         kind, kind_col = toks[1]
         if kind not in _TASK_ARGS:
-            self.fail(line_no, kind_col, f"unknown task kind {kind!r}", snippet)
+            self.fail(kind_col, f"unknown task kind {kind!r}")
         required, optional = _TASK_ARGS[kind]
-        kv = self.parse_kv(toks[2:], line_no, snippet, required, optional)
+        kv = self.parse_kv(toks[2:], required, optional)
         # Canonical argument order: required keys first, then optionals.
-        ordered = tuple(
-            (k, kv[k]) for k in list(required) + list(optional)
-        )
-        self.tasks.append(Task(kind, ordered))
+        self.tasks.append(Task(kind, tuple((k, kv[k]) for k in [*required, *optional])))
 
     # --- key=value machinery --------------------------------------------
 
-    def parse_kv(self, toks, line_no, snippet, required, optional):
+    def parse_kv(self, toks, required, optional):
         values: dict[str, object] = {}
         for tok, col in toks:
             if "=" not in tok:
-                self.fail(line_no, col, f"expected key=value, got {tok!r}", snippet)
+                self.fail(col, f"expected key=value, got {tok!r}")
             key, raw = tok.split("=", 1)
             if key in required:
                 vtype = required[key]
             elif key in optional:
                 vtype = optional[key][0]
             else:
-                self.fail(line_no, col, f"unknown argument {key!r}", snippet)
+                self.fail(col, f"unknown argument {key!r}")
             if key in values:
-                self.fail(line_no, col, f"duplicate argument {key!r}", snippet)
-            vcol = col + len(key) + 1
-            values[key] = self.parse_value(vtype, raw, line_no, vcol, snippet)
+                self.fail(col, f"duplicate argument {key!r}")
+            values[key] = self.parse_value(vtype, raw, col + len(key) + 1)
         for key in required:
             if key not in values:
-                self.fail(
-                    line_no, toks[0][1] if toks else 1,
-                    f"missing required argument {key!r}", snippet,
-                )
+                self.fail(toks[0][1] if toks else 1, f"missing required argument {key!r}")
         for key, (_, default) in optional.items():
             values.setdefault(key, default)
         return values
 
-    def parse_value(self, vtype, raw, line_no, col, snippet):
-        parse = {"float": parse_number, "int": parse_int, "range": parse_range}.get(vtype)
-        if parse is not None:
-            return self.read(parse, raw, line_no, col, snippet)
+    def parse_value(self, vtype, raw, col):
+        if vtype in _NUMERIC:
+            return self.read(_NUMERIC[vtype], raw, col)
         if vtype in ("question", "state", "population"):
-            self.check_ref(vtype, raw, line_no, col, snippet)
+            self.check_ref(vtype, raw, col)
             return raw
-        if vtype == "pair":
-            parts = raw.split(",")
-            if len(parts) != 2:
-                self.fail(line_no, col, f"expected NAME,NAME, got {raw!r}", snippet)
-            for part in parts:
-                self.check_ref("question", part, line_no, col, snippet)
-            return tuple(parts)
-        if vtype == "order":
-            parts = raw.split(",")
-            if len(parts) < 2:
-                self.fail(line_no, col, f"expected at least two names, got {raw!r}", snippet)
-            for part in parts:
-                self.check_ref("question", part, line_no, col, snippet)
-            return tuple(parts)
-        raise AssertionError(f"unhandled value type {vtype!r}")
+        # "pair" or "order": a comma-separated list of question names.
+        names = raw.split(",")
+        if vtype == "pair" and len(names) != 2:
+            self.fail(col, f"expected NAME,NAME, got {raw!r}")
+        if len(names) < 2:
+            self.fail(col, f"expected at least two names, got {raw!r}")
+        for name in names:
+            self.check_ref("question", name, col)
+        return tuple(names)
 
 
 def parse(text: str) -> ExperimentSpec:
@@ -393,18 +367,16 @@ def parse(text: str) -> ExperimentSpec:
         "population": p.parse_population,
         "task": p.parse_task,
     }
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
+    for p.line_no, p.snippet in enumerate(text.splitlines(), start=1):
+        body = p.snippet.split("#", 1)[0]
         toks = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
         if not toks:
             continue
         head, head_col = toks[0]
-        handler = directives.get(head)
         try:
-            if handler is None:
-                p.fail(line_no, head_col, f"unknown directive {head!r}", line)
-            else:
-                handler(toks, line_no, line)
+            if head not in directives:
+                p.fail(head_col, f"unknown directive {head!r}")
+            directives[head](toks)
         except _LineErrors:
             continue
     if p.errors:
@@ -422,8 +394,6 @@ def _fmt(value: object) -> str:
         return f"{value.start!r}:{value.stop!r}:{value.steps}"
     if isinstance(value, tuple):
         return ",".join(value)
-    if isinstance(value, bool):
-        raise AssertionError("no boolean task arguments")
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -87,12 +87,9 @@ def rotate_amplitudes(amp0, amp1, c, sn, phase):
 
 def from_basis(s: PureState, rel: BasisRelation) -> PureState:
     """Inverse of :func:`change_basis`: coordinates given in the rotated
-    basis, result expressed in the reference basis."""
+    basis, result expressed in the reference basis: the rotation by -theta."""
     c, sn = math.cos(rel.theta), math.sin(rel.theta)
-    phase = cmath.exp(1j * rel.phi)
-    amp0 = s.amp0 * c + s.amp1 * sn / phase
-    amp1 = -s.amp0 * sn * phase + s.amp1 * c
-    return PureState(amp0, amp1)
+    return PureState(*rotate_amplitudes(s.amp0, s.amp1, c, -sn, cmath.exp(1j * rel.phi)))
 
 
 def inverse_relation(rel: BasisRelation) -> BasisRelation:

@@ -327,12 +327,15 @@ def test_sweep_pair_does_not_enter_the_output(tmp_path):
 
 # Simulate draws in fixed-size chunks, so no --agents value allocates beyond
 # the address space; test_population checks that its memory stays bounded.
-# A sweep allocates one raster-sized array before any per-axis Python list.
+# A sweep or an uncertainty scan allocates one raster-sized array before any
+# other work.
 @pytest.mark.parametrize(
     "argv, text",
     [
         (["run", "{tmp}/big.qx"], "question a\nquestion b from a theta=0.3\n"
                                   "task uncertainty pair=a,b steps=100000000000000\n"),
+        (["run", "{tmp}/big.qx"], "question a\nquestion b from a theta=0.3\n"
+                                  "task uncertainty pair=a,b steps=100000000000000000000\n"),
         (["run", "{tmp}/big.qx"], "question a\nquestion b from a theta=0.3\n"
                                   "task sweep pair=a,b theta=0:1:100000000000000 theta_a=0:1:4\n"),
         (["sweep", "--theta", "0:1:100000000000000", "--theta-a", "0:1:4",
@@ -342,7 +345,7 @@ def test_sweep_pair_does_not_enter_the_output(tmp_path):
         (["sweep", "--theta", "0:1:100000000000000", "--theta-a", "0:1:100000000000000",
           "--out", "{tmp}/big.csv"], ""),
     ],
-    ids=["steps", "sweep", "sweep-option", "sweep-cells", "sweep-bytes-overflow"],
+    ids=["steps", "steps-overflow", "sweep", "sweep-option", "sweep-cells", "sweep-bytes-overflow"],
 )
 def test_allocation_beyond_the_address_space_exits_3(tmp_path, argv, text):
     # The first allocation exceeds 128 TiB (or its byte count overflows), so it

@@ -240,3 +240,32 @@ def test_non_finite_numbers_rejected_with_location(line):
     (err,) = info.value.errors
     assert err.line == 3
     assert "non-finite number" in err.message
+
+
+# Each bad line sits at line 4, between valid lines; ``token`` is the text
+# the diagnostic's column must point at.
+@pytest.mark.parametrize(
+    "bad, token, message",
+    [
+        ("  question c from zz theta=0.1  # base not declared", "zz",
+         'unresolved reference "zz"'),
+        ("state t pure basis=a theta_a=nope # typo", "nope", "malformed number 'nope'"),
+        ("    state m mixed basis=b p1=1.5", "basis=b", "p1 must lie in [0, 1], got 1.5"),
+        ("population p = 0.5*s + 0.5*ghost  # ghost", "ghost", 'unresolved reference "ghost"'),
+        ("\ttask fallacy state=s pair=a,zz", "a,zz", 'unresolved reference "zz"'),
+        ("task sweep pair=a,b theta=0:1:1 theta_a=0:1:4  # one step", "0:1:1",
+         "grid needs at least 2 steps, got 1"),
+        ("  observe a  # not a directive", "observe", "unknown directive 'observe'"),
+    ],
+    ids=["question", "state-pure", "state-mixed", "population", "task", "task-range",
+         "unknown-directive"],
+)
+def test_diagnostic_cites_the_raw_line_and_token(bad, token, message):
+    text = (
+        "question a\nquestion b from a theta=pi/4\nstate s pure basis=a theta_a=0.3\n"
+        + bad + "\ntask fallacy state=s pair=a,b\n"
+    )
+    with pytest.raises(ExperimentSyntaxError) as info:
+        parse(text)
+    (err,) = info.value.errors
+    assert err == ParseError(4, bad.index(token) + 1, message, bad)
