@@ -55,28 +55,32 @@ class DecompositionResult:
     total: float
     classical_part: float
     interference: float
-    target_question: Question
-    target_outcome: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FallacyReport:
-    """Flags for the direct and reverse conjunction fallacy on both sides.
+    """Both sides of the fallacy comparison at one point: P(b1) through a's
+    basis and P(a1) through b's, each as classical part plus interference,
+    and the direct and reverse flags on each side.
 
-    ``margins`` holds, in order, (threshold_b - P(b1), threshold_a - P(a1),
-    P(b1) - threshold_b, P(a1) - threshold_a): positive first-pair entries
-    point toward the direct fallacy, positive second-pair entries toward the
-    reverse side.  P(b1) and P(a1) are the totals of ``decomposition_b``
-    (P(b1) through a's basis) and ``decomposition_a`` (P(a1) through b's).
+    The fields, but for ``margins``, are the fallacy columns of the CLI's
+    CSV, in order.  With thresholds t_b = P(a1) P(b1|a1) and t_a = P(b1)
+    P(a1|b1), ``margins`` holds (t_b - P(b1), t_a - P(a1), P(b1) - t_b,
+    P(a1) - t_a): positive first-pair entries point toward the direct
+    fallacy, positive second-pair entries toward the reverse side.
     """
 
-    fallacy_on_b: bool
-    fallacy_on_a: bool
-    reverse_on_b: bool
-    reverse_on_a: bool
+    p_a1: float
+    p_b1: float
+    classical_b1: float
+    interference_b1: float
+    classical_a1: float
+    interference_a1: float
+    fallacy_b: bool
+    fallacy_a: bool
+    reverse_b: bool
+    reverse_a: bool
     margins: tuple[float, float, float, float]
-    decomposition_b: DecompositionResult
-    decomposition_a: DecompositionResult
 
 
 class RegimeClass(enum.Enum):
@@ -86,30 +90,18 @@ class RegimeClass(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Fallacy raster over (theta, theta_a) as a struct of arrays.
+class SweepResult(FallacyReport):
+    """Fallacy raster over (theta, theta_a): a :class:`FallacyReport` of arrays.
 
-    Each per-cell array has shape ``(len(theta), len(theta_a))``: row i holds
-    ``theta[i]``, so flattening is row-major in theta.  ``p_b1`` and
-    ``p_a1`` are the totals of the two decompositions (P(b1) through a's
-    basis, P(a1) through b's); ``margins`` are as in :class:`FallacyReport`;
-    ``regime`` holds one class per theta row.
+    Each report field is an array of shape ``(len(theta), len(theta_a))``
+    (``margins`` a tuple of four), and cell (i, k) equals the report for
+    ``theta[i]`` and ``theta_a[k]``: row i holds ``theta[i]``, so flattening
+    is row-major in theta.  ``regime`` holds one class per theta row.
     """
 
     theta: np.ndarray
     theta_a: np.ndarray
     phi: float
-    p_a1: np.ndarray
-    p_b1: np.ndarray
-    classical_b1: np.ndarray
-    interference_b1: np.ndarray
-    classical_a1: np.ndarray
-    interference_a1: np.ndarray
-    fallacy_b: np.ndarray
-    fallacy_a: np.ndarray
-    reverse_b: np.ndarray
-    reverse_a: np.ndarray
-    margins: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     regime: tuple[RegimeClass, ...]
 
     def __len__(self) -> int:
@@ -236,9 +228,9 @@ def _split(alpha0, alpha1, c2, sin2t, phase, j=1):
 
 
 def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> dict:
-    """Both decompositions, the four flags and the margins, named as the
-    fields of :class:`SweepResult`: the arithmetic shared by
-    :func:`fallacy_report` (scalars) and :func:`sweep_fallacy_map` (arrays).
+    """The fields of a :class:`FallacyReport`, as a dict: the arithmetic
+    shared by :func:`fallacy_report` (scalars) and :func:`sweep_fallacy_map`
+    (arrays).
 
     ``amp0, amp1`` are the state's amplitudes in the reference basis,
     ``rotate_a``/``rotate_b`` the :func:`_rotation_terms` of a's and b's
@@ -286,13 +278,7 @@ def decompose_total_probability(
     classical, interference = _split(
         *alpha, *_relation_terms(relative_relation(a, b)), j
     )
-    return DecompositionResult(
-        total=classical + interference,
-        classical_part=classical,
-        interference=interference,
-        target_question=b,
-        target_outcome=j,
-    )
+    return DecompositionResult(classical + interference, classical, interference)
 
 
 def mixed_state_total_probability(
@@ -306,10 +292,7 @@ def mixed_state_total_probability(
     if j not in (0, 1):
         raise ValidationError(f"outcome must be 0 or 1, got {j!r}")
     a0, a1 = eigenvectors_in_reference(a)
-    off = (
-        a0.amp0.conjugate() * (rho.m00 * a1.amp0 + rho.m01 * a1.amp1)
-        + a0.amp1.conjugate() * (rho.m10 * a1.amp0 + rho.m11 * a1.amp1)
-    )
+    off = rho.element(a0, a1)
     if abs(off) > 1e-12:
         raise PreconditionError(
             f"state is not diagonal in the {a.name} basis (off-diagonal {off!r})"
@@ -324,28 +307,16 @@ def mixed_state_total_probability(
 def fallacy_report(s: PureState, a: Question, b: Question) -> FallacyReport:
     """Direct fallacy check from probabilities: P(b1) against P(a1)P(b1|a1)
     and symmetrically for the a side, with a 1e-12 guard band so boundary
-    cells are deterministic.  The report carries the two decompositions
-    whose totals it compares."""
-    f = _fallacy(
-        s.amp0,
-        s.amp1,
-        _rotation_terms(a.relation_to_reference),
-        _rotation_terms(b.relation_to_reference),
-        _relation_terms(relative_relation(a, b)),
-        _relation_terms(relative_relation(b, a)),
-    )
+    cells are deterministic."""
     return FallacyReport(
-        fallacy_on_b=f["fallacy_b"],
-        fallacy_on_a=f["fallacy_a"],
-        reverse_on_b=f["reverse_b"],
-        reverse_on_a=f["reverse_a"],
-        margins=f["margins"],
-        decomposition_b=DecompositionResult(
-            f["p_b1"], f["classical_b1"], f["interference_b1"], b, 1
-        ),
-        decomposition_a=DecompositionResult(
-            f["p_a1"], f["classical_a1"], f["interference_a1"], a, 1
-        ),
+        **_fallacy(
+            s.amp0,
+            s.amp1,
+            _rotation_terms(a.relation_to_reference),
+            _rotation_terms(b.relation_to_reference),
+            _relation_terms(relative_relation(a, b)),
+            _relation_terms(relative_relation(b, a)),
+        )
     )
 
 
@@ -405,12 +376,11 @@ def sweep_fallacy_map(
 ) -> SweepResult:
     """Rasterize fallacy structure over (theta, theta_a), row-major in theta.
 
-    Cell (i, k) prepares the real state with angle theta_a[k], relates
-    question b to the reference by (theta[i], phi), and records both
-    decompositions, the flags and the correlation regime.  The per-axis
-    terms come from the scalar code, once per axis value; the cells are then
-    one batch through the arithmetic of :func:`fallacy_report`, so every
-    cell equals the report for its point.
+    Cell (i, k) prepares the real state with angle theta_a[k] and relates
+    question b to the reference by (theta[i], phi); each theta row also gets
+    its correlation regime.  The per-axis terms come from the scalar code,
+    once per axis value; the cells are then one batch through the arithmetic
+    of :func:`fallacy_report`, so every cell equals the report for its point.
     """
     _reserve_raster(theta_grid.steps, theta_a_grid.steps)
     reference = Question("a")

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import dsl
 from .analysis import (
+    FallacyReport,
     SweepResult,
     fallacy_report,
     sweep_fallacy_map,
@@ -42,12 +43,10 @@ from .states import (
     pure_from_angles,
 )
 
-# Columns shared by the fallacy and sweep headers.
-_FALLACY_COLUMNS = (
-    "p_a1,p_b1,classical_b1,interference_b1,classical_a1,interference_a1,"
-    "fallacy_b,fallacy_a,reverse_b,reverse_a"
-)
-SWEEP_HEADER = f"theta,theta_a,phi,{_FALLACY_COLUMNS},regime"
+# The columns shared by the fallacy and sweep CSVs: a FallacyReport's fields
+# but its margins: six values, then four flags.
+_FALLACY_FIELDS = [f.name for f in fields(FallacyReport) if f.name != "margins"]
+SWEEP_HEADER = ",".join(["theta", "theta_a", "phi", *_FALLACY_FIELDS, "regime"])
 
 
 class _CliError(Exception):
@@ -122,36 +121,29 @@ def _require_pure(state, name: str) -> PureState:
     return state
 
 
-# The four flag columns for each code fallacy_b*8 + fallacy_a*4 + reverse_b*2 + reverse_a.
+# The four flag columns for each 4-bit code, whose binary digits are the flags.
 _FLAG_FIELDS = [",".join(f"{code:04b}") for code in range(16)]
 
 
 def _sweep_lines(header: str, sweep: SweepResult) -> list[str]:
     """The header, then one CSV row per cell, row-major in theta.
 
-    The axis columns are formatted once per axis value, not once per row.
+    The axis columns are formatted once per axis value, not once per row,
+    and a cell's four flags once per code.
     """
     theta_a = [_cell(x) for x in sweep.theta_a.tolist()]
-    phi = _cell(sweep.phi)
-    columns = [
-        sweep.p_a1,
-        sweep.p_b1,
-        sweep.classical_b1,
-        sweep.interference_b1,
-        sweep.classical_a1,
-        sweep.interference_a1,
-    ]
-    codes = (
-        sweep.fallacy_b * 8 + sweep.fallacy_a * 4 + sweep.reverse_b * 2 + sweep.reverse_a
-    )
+    columns = [getattr(sweep, name) for name in _FALLACY_FIELDS]
+    values, flags = columns[:-4], columns[-4:]
+    codes = sum(flag * (8 >> k) for k, flag in enumerate(flags))
+    fmt = f",{_cell(sweep.phi)}" + ",%.17g" * len(values) + ",%s,"
     lines = [header]
     for i, theta in enumerate(sweep.theta.tolist()):
         head = f"{_cell(theta)},"
-        tail = f",{phi},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,{sweep.regime[i].value}"
-        values = zip(*(column[i].tolist() for column in columns))
-        flags = [_FLAG_FIELDS[code] for code in codes[i].tolist()]
+        tail = fmt + sweep.regime[i].value
+        cells = zip(*(column[i].tolist() for column in values))
+        row_flags = [_FLAG_FIELDS[code] for code in codes[i].tolist()]
         lines.extend(
-            head + x + tail % (*v, f) for x, v, f in zip(theta_a, values, flags)
+            head + x + tail % (*v, f) for x, v, f in zip(theta_a, cells, row_flags)
         )
     return lines
 
@@ -168,12 +160,7 @@ def _run_fallacy(args: dict, rt: Runtime):
     rep = fallacy_report(
         _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
     )
-    dec_b, dec_a = rep.decomposition_b, rep.decomposition_a
-    return [(
-        state, a, b, dec_a.total, dec_b.total, dec_b.classical_part, dec_b.interference,
-        dec_a.classical_part, dec_a.interference,
-        rep.fallacy_on_b, rep.fallacy_on_a, rep.reverse_on_b, rep.reverse_on_a,
-    )]
+    return [(state, a, b, *(getattr(rep, name) for name in _FALLACY_FIELDS))]
 
 
 def _run_sequence(args: dict, rt: Runtime):
@@ -233,7 +220,7 @@ def _run_uncertainty(args: dict, rt: Runtime):
 # dsl._TASK_ARGS declares, and the runtime; it returns its rows as value
 # tuples, or a SweepResult.
 _TASKS = {
-    "fallacy": (f"state,a,b,{_FALLACY_COLUMNS}", _run_fallacy),
+    "fallacy": (",".join(["state", "a", "b", *_FALLACY_FIELDS]), _run_fallacy),
     "sequence": ("outcomes,probability", _run_sequence),
     "sweep": (SWEEP_HEADER, _run_sweep),
     "simulate": (

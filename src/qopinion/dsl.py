@@ -138,6 +138,9 @@ _PI_RE = re.compile(r"([+-]?)([0-9]+(?:\.[0-9]+)?)?pi(?:/([0-9]+(?:\.[0-9]+)?))?
 _DEG_RE = re.compile(r"([+-]?[0-9]+(?:\.[0-9]+)?)deg")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _TOKEN_RE = re.compile(r"\S+")
+# The line ends that text mode reads; str.splitlines() would also break at
+# \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029, which _TOKEN_RE reads as spaces.
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 def parse_number(tok: str) -> float:
@@ -367,7 +370,7 @@ def parse(text: str) -> ExperimentSpec:
         "population": p.parse_population,
         "task": p.parse_task,
     }
-    for p.line_no, p.snippet in enumerate(text.splitlines(), start=1):
+    for p.line_no, p.snippet in enumerate(_LINE_END_RE.split(text), start=1):
         body = p.snippet.split("#", 1)[0]
         toks = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
         if not toks:

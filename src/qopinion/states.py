@@ -102,14 +102,16 @@ class MixedState:
         """Trace of the squared matrix; 1 for pure states, 1/2 when maximally mixed."""
         return self.m00**2 + self.m11**2 + 2.0 * abs(self.m01) ** 2
 
+    def element(self, u: PureState, v: PureState) -> complex:
+        """<u|rho|v>, the matrix element between directions ``u`` and ``v``."""
+        return (
+            u.amp0.conjugate() * (self.m00 * v.amp0 + self.m01 * v.amp1)
+            + u.amp1.conjugate() * (self.m10 * v.amp0 + self.m11 * v.amp1)
+        )
+
     def expectation(self, v: PureState) -> float:
         """<v|rho|v>, the probability weight carried by direction ``v``."""
-        c0, c1 = v.amp0.conjugate(), v.amp1.conjugate()
-        val = (
-            c0 * (self.m00 * v.amp0 + self.m01 * v.amp1)
-            + c1 * (self.m10 * v.amp0 + self.m11 * v.amp1)
-        )
-        return val.real
+        return self.element(v, v).real
 
 
 def pure_from_angles(theta_a: float, phi_a: float) -> PureState:

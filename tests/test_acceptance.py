@@ -91,7 +91,7 @@ def _raster():
                 continue
             ineq[i, k] = fallacy_inequalities(theta_a, theta)
             report = fallacy_report(pure_from_angles(theta_a, 0.0), A, b)
-            rep[i, k] = (report.fallacy_on_b, report.fallacy_on_a)
+            rep[i, k] = (report.fallacy_b, report.fallacy_a)
     _raster_cache["flags"] = (thetas, theta_as, ineq, rep, skipped)
     return _raster_cache["flags"]
 
@@ -155,14 +155,14 @@ def test_criterion_03_pinned_fallacy_point():
         abs(dec.total - 0.8267) < 1e-3
         and abs(dec.classical_part - 0.9130) < 1e-3
         and abs(dec.interference - (-0.0862)) < 1e-3
-        and rep.fallacy_on_b
-        and not rep.fallacy_on_a
+        and rep.fallacy_b
+        and not rep.fallacy_a
     )
     _verdict(
         "3",
         ok,
         f"pinned point P(b1)={dec.total:.4f}, classical={dec.classical_part:.4f}, "
-        f"interference={dec.interference:.4f}, flags=({rep.fallacy_on_b},{rep.fallacy_on_a})",
+        f"interference={dec.interference:.4f}, flags=({rep.fallacy_b},{rep.fallacy_a})",
     )
 
 
@@ -174,13 +174,13 @@ def test_criterion_04_reverse_fallacy_point():
     ok = (
         abs(dec.total - 1.0) < 1e-9
         and abs(dec.interference - 0.375) < 1e-9
-        and rep.reverse_on_b
+        and rep.reverse_b
     )
     _verdict(
         "4",
         ok,
         f"reverse point P(b1)={dec.total!r}, interference={dec.interference!r}, "
-        f"reverse_on_b={rep.reverse_on_b}",
+        f"reverse_b={rep.reverse_b}",
     )
 
 
@@ -222,7 +222,7 @@ def _line_flags(theta, theta_as):
         printed.append(_printed_inequalities(theta_a, theta))
         ineq.append(fallacy_inequalities(theta_a, theta))
         r = fallacy_report(pure_from_angles(theta_a, 0.0), A, b)
-        rep.append((r.fallacy_on_b, r.fallacy_on_a))
+        rep.append((r.fallacy_b, r.fallacy_a))
     return np.array(printed), np.array(ineq), np.array(rep)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from qopinion import (
     BasisRelation,
+    FallacyReport,
     MixedState,
     PreconditionError,
     Question,
@@ -90,10 +92,10 @@ def test_fallacy_report_pinned_point():
     s = pure_from_angles(1.8, 0.0)
     b = Question("b", BasisRelation(0.2, 0.0))
     rep = fallacy_report(s, A, b)
-    assert rep.fallacy_on_b and not rep.fallacy_on_a
+    assert rep.fallacy_b and not rep.fallacy_a
     # The opposite side overshoots its classical bound with positive
     # interference, so the reverse flag sits on a.
-    assert rep.reverse_on_a and not rep.reverse_on_b
+    assert rep.reverse_a and not rep.reverse_b
     assert rep.margins[0] > 0.0
 
 
@@ -101,8 +103,8 @@ def test_fallacy_report_reverse_point():
     s = pure_from_angles(math.pi / 3, 0.0)
     b = Question("b", BasisRelation(math.pi / 6, 0.0))
     rep = fallacy_report(s, A, b)
-    assert rep.reverse_on_b
-    assert not rep.fallacy_on_b
+    assert rep.reverse_b
+    assert not rep.fallacy_b
 
 
 def test_fallacy_inequalities_match_report():
@@ -119,8 +121,8 @@ def test_fallacy_inequalities_match_report():
             continue
         b_side, a_side = fallacy_inequalities(theta_a, theta)
         rep = fallacy_report(pure_from_angles(theta_a, 0.0), A, Question("b", BasisRelation(theta, 0.0)))
-        assert b_side == rep.fallacy_on_b
-        assert a_side == rep.fallacy_on_a
+        assert b_side == rep.fallacy_b
+        assert a_side == rep.fallacy_a
         checked += 1
 
 
@@ -195,27 +197,18 @@ def test_sweep_matches_scalar_report(theta_grid, theta_a_grid, phi):
         theta, theta_a = float(sweep.theta[cell[0]]), float(sweep.theta_a[cell[1]])
         s = pure_from_angles(theta_a, 0.0)
         rep = fallacy_report(s, A, Question("b", BasisRelation(theta, phi)))
-        flags = (rep.fallacy_on_b, rep.fallacy_on_a, rep.reverse_on_b, rep.reverse_on_a)
-        batch_flags = (
-            sweep.fallacy_b[cell], sweep.fallacy_a[cell],
-            sweep.reverse_b[cell], sweep.reverse_a[cell],
-        )
-        assert batch_flags == flags
-        assert tuple(m[cell] for m in sweep.margins) == rep.margins
         assert sweep.regime[cell[0]] is classify_regime(theta)
-        dec_b, dec_a = rep.decomposition_b, rep.decomposition_a
-        pairs = [
-            (sweep.p_b1[cell], dec_b.total),
-            (sweep.classical_b1[cell], dec_b.classical_part),
-            (sweep.interference_b1[cell], dec_b.interference),
-            (sweep.p_a1[cell], dec_a.total),
-            (sweep.classical_a1[cell], dec_a.classical_part),
-            (sweep.interference_a1[cell], dec_a.interference),
-        ]
-        for batch, scalar in pairs:
+        for field in dataclasses.fields(FallacyReport):
+            batch, scalar = getattr(sweep, field.name), getattr(rep, field.name)
+            if field.name == "margins":
+                batch = tuple(m[cell] for m in batch)
+            else:
+                batch, scalar = (batch[cell],), (scalar,)
             # Same arithmetic, so the same bits; signed zeros print as "0" or "-0".
-            assert batch == scalar
-            assert format(batch, ".17g") == format(scalar, ".17g")
+            assert batch == scalar, field.name
+            assert [format(x, ".17g") for x in batch] == [
+                format(x, ".17g") for x in scalar
+            ], field.name
         oracle_b = brute_force_outcome_probability(s, BasisRelation(theta, phi), 1)
         oracle_a = brute_force_outcome_probability(s, BasisRelation(0.0, 0.0), 1)
         assert abs(sweep.p_b1[cell] - oracle_b) <= 1e-12

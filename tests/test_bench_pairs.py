@@ -1,0 +1,56 @@
+"""The summary that ``tools/bench_pairs.py`` writes into ``BENCH_*.json``."""
+
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _runs(base: dict, change: dict) -> dict:
+    """Per-side run records, as ``perfbench/run.py`` prints them, from
+    metric name -> one value per pair."""
+
+    def side(values: dict) -> list[dict]:
+        pairs = zip(*values.values())
+        return [
+            {"metrics": {name: {"value": v} for name, v in zip(values, pair)}}
+            for pair in pairs
+        ]
+
+    return {"base": side(base), "change": side(change)}
+
+
+def test_spread_quartiles_are_inclusive():
+    values = [5.0, 1.0, 4.0, 2.0, 3.0]
+    # Inclusive quartiles of 1..5 fall on 2 and 4; exclusive ones on 1.5 and 4.5.
+    assert bench_pairs.spread(values) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "values": values
+    }
+    assert bench_pairs.spread([1.0, 3.0]) == {
+        "median": 2.0, "q1": 1.5, "q3": 2.5, "values": [1.0, 3.0]
+    }
+
+
+def test_summarise_counts_wins_in_the_better_direction_and_ties_for_neither():
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "throughput", "unit": "units/s", "better": "higher"},
+    ]
+    runs = _runs(
+        base={"wall_s": [1.0, 2.0, 3.0], "throughput": [10.0, 20.0, 30.0]},
+        change={"wall_s": [0.5, 2.0, 2.5], "throughput": [11.0, 20.0, 31.0]},
+    )
+    out = bench_pairs.summarise(metrics, runs)
+    assert list(out) == ["wall_s", "throughput"]
+    # wall_s: the change is lower in pairs 1 and 3 and ties in pair 2.
+    assert out["wall_s"]["change_wins"] == 2
+    # throughput: higher in pairs 1 and 3; the tie in pair 2 does not count.
+    assert out["throughput"]["change_wins"] == 2
+    assert out["wall_s"]["unit"] == "s" and out["wall_s"]["better"] == "lower"
+    assert out["throughput"]["better"] == "higher"
+    assert out["wall_s"]["base"] == bench_pairs.spread([1.0, 2.0, 3.0])
+    assert out["throughput"]["change"] == bench_pairs.spread([11.0, 20.0, 31.0])

@@ -269,3 +269,40 @@ def test_diagnostic_cites_the_raw_line_and_token(bad, token, message):
         parse(text)
     (err,) = info.value.errors
     assert err == ParseError(4, bad.index(token) + 1, message, bad)
+
+
+# Characters that str.splitlines() breaks at but text-mode reading does not;
+# inside a .qx line they are whitespace between tokens.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "sep", _NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in _NOT_LINE_ENDS]
+)
+def test_only_newlines_end_a_line(sep):
+    good = f"question a {sep}# note{sep}\nquestion b from a{sep}theta=0.2\n"
+    spec = parse(good)
+    assert spec.questions[1] == dsl.QuestionDecl("b", "a", 0.2, 0.0)
+    bad = "state s pure basis=zz theta_a=0.1"
+    with pytest.raises(ExperimentSyntaxError) as info:
+        parse(good + bad + "\n")
+    (err,) = info.value.errors
+    assert err == ParseError(3, bad.index("zz") + 1, 'unresolved reference "zz"', bad)
+
+
+def test_separator_inside_a_line_is_not_a_new_directive():
+    with pytest.raises(ExperimentSyntaxError) as info:
+        parse("question a \x85 x\n")
+    (err,) = info.value.errors
+    assert (err.line, err.column) == (1, len("question a \x85 x"))
+    assert "unknown directive" not in err.message
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_text_mode_line_ends_count_once(end):
+    bad = "state s pure basis=zz theta_a=0.1"
+    text = end.join(["question a", "# comment", bad, ""])
+    with pytest.raises(ExperimentSyntaxError) as info:
+        parse(text)
+    (err,) = info.value.errors
+    assert err == ParseError(3, bad.index("zz") + 1, 'unresolved reference "zz"', bad)

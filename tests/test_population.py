@@ -80,7 +80,7 @@ def test_one_component_rate_agrees_with_fallacy_report():
         b = Question("b", compose_relations(a_rel, BasisRelation(t2, p2)))
         state = pure_from_angles(theta_a, phi_a)
         pop = PopulationSpec((PopulationComponent(1.0, state, "only"),))
-        expected = 1.0 if fallacy_report(state, a, b).fallacy_on_b else 0.0
+        expected = 1.0 if fallacy_report(state, a, b).fallacy_b else 0.0
         assert predicted_fallacy_rate(pop, a, b) == expected
         flagged += expected == 1.0
     assert 200 < flagged < 1800

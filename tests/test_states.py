@@ -85,6 +85,18 @@ def test_expectation_matches_projection():
     assert abs(rho.expectation(v) - abs(v.overlap(s)) ** 2) < 1e-14
 
 
+def test_element_is_the_matrix_entry_between_two_directions():
+    rho = MixedState(0.3, 0.7, 0.2 - 0.1j)
+    e0, e1 = PureState(1 + 0j, 0j), PureState(0j, 1 + 0j)
+    assert rho.element(e0, e1) == rho.m01
+    assert rho.element(e1, e0) == rho.m10
+    # For a pure rho = |s><s|, <u|rho|v> = <u|s><s|v>.
+    s, u = pure_from_angles(0.9, 0.4), pure_from_angles(0.2, 1.0)
+    v = pure_from_angles(1.3, -0.5)
+    assert abs(density_from_pure(s).element(u, v) - u.overlap(s) * s.overlap(v)) < 1e-14
+    assert abs(rho.element(u, v) - rho.element(v, u).conjugate()) < 1e-15
+
+
 def test_mix_validates_weights():
     rho = MAXIMALLY_MIXED
     with pytest.raises(ValidationError):
