@@ -13,18 +13,11 @@ import argparse
 import itertools
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from . import dsl
-from .analysis import (
-    FallacyReport,
-    SweepResult,
-    fallacy_report,
-    sweep_fallacy_map,
-    underextension_estimate,
-    uncertainty_sum_minimum,
-)
 from .errors import QOpinionError, ValidationError
-from .heatmap import fallacy_heatmap_svg
+from .fallacy import FallacyReport, fallacy_report, underextension_estimate
 from .measurement import OutcomeStep, consecutive_probability
 from .observables import (
     BasisRelation,
@@ -33,7 +26,6 @@ from .observables import (
     eigenvectors_in_reference,
     from_basis,
 )
-from .population import PopulationComponent, PopulationSpec, simulate_population
 from .states import (
     MixedState,
     PureState,
@@ -42,6 +34,13 @@ from .states import (
     mix,
     pure_from_angles,
 )
+
+# analysis, heatmap and population load numpy, whose import is most of the
+# start-up of a run that needs none: the point-wise tasks.  So the sweep,
+# simulate and uncertainty paths import them on first use.
+if TYPE_CHECKING:
+    from .analysis import SweepResult
+    from .population import PopulationSpec
 
 # The columns shared by the fallacy and sweep CSVs: a FallacyReport's fields
 # but its margins: six values, then four flags.
@@ -105,6 +104,8 @@ def build_runtime(spec: dsl.ExperimentSpec) -> Runtime:
                 ]
             )
     populations: dict[str, PopulationSpec] = {}
+    if spec.populations:
+        from .population import PopulationComponent, PopulationSpec
     for pop in spec.populations:
         populations[pop.name] = PopulationSpec(
             tuple(
@@ -150,7 +151,7 @@ def _sweep_lines(header: str, sweep: SweepResult) -> list[str]:
 
 def _csv_lines(header: str, result) -> list[str]:
     """The header, then the rows: a sweep's raster or one line per value tuple."""
-    if isinstance(result, SweepResult):
+    if isinstance(result, FallacyReport):  # only a sweep returns one
         return _sweep_lines(header, result)
     return [header, *(",".join(map(_cell, row)) for row in result)]
 
@@ -181,10 +182,14 @@ def _run_sequence(args: dict, rt: Runtime):
 
 
 def _run_sweep(args: dict, rt: Runtime) -> SweepResult:
+    from .analysis import sweep_fallacy_map
+
     return sweep_fallacy_map(args["theta"], args["theta_a"], args["phi"])
 
 
 def _run_simulate(args: dict, rt: Runtime):
+    from .population import simulate_population
+
     pop, (a, b) = args["population"], args["pair"]
     t = simulate_population(
         rt.populations[pop], rt.questions[a], rt.questions[b],
@@ -209,6 +214,8 @@ def _run_underextension(args: dict, rt: Runtime):
 
 
 def _run_uncertainty(args: dict, rt: Runtime):
+    from .analysis import uncertainty_sum_minimum
+
     (a, b), steps = args["pair"], args["steps"]
     minimum, (theta_s, phi_s) = uncertainty_sum_minimum(
         rt.questions[a], rt.questions[b], steps
@@ -336,6 +343,8 @@ def cmd_sweep(args) -> int:
     sweep = runner(vars(args), None)
     _write_output("\n".join(_csv_lines(header, sweep)) + "\n", args.out)
     if args.svg is not None:
+        from .heatmap import fallacy_heatmap_svg
+
         _write_output(fallacy_heatmap_svg(sweep, len(sweep.theta), len(sweep.theta_a)), args.svg)
     return 0
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FALLACY_GUARD
 from .errors import ValidationError
+from .fallacy import FALLACY_GUARD
 from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
 from .observables import Question, conditional_probability
