@@ -10,7 +10,6 @@ more than one task); diagnostics go to stderr, one line each.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING
 from . import dsl
 from .errors import QOpinionError, ValidationError
 from .fallacy import FallacyReport, fallacy_report, underextension_estimate
-from .measurement import OutcomeStep, consecutive_probability
+from .measurement import chain_table
 from .observables import (
     BasisRelation,
     Question,
@@ -169,22 +168,22 @@ def _run_sequence(args: dict, rt: Runtime):
     if len(order) > 16:
         raise ValidationError(f"sequence too long ({len(order)} questions)")
     rho = _as_density(rt.states[args["state"]])
-    questions = [rt.questions[name] for name in order]
-    return [
-        (
-            "".join(map(str, outcomes)),
-            consecutive_probability(
-                rho, [OutcomeStep(q, o) for q, o in zip(questions, outcomes)]
-            ),
-        )
-        for outcomes in itertools.product((0, 1), repeat=len(order))
-    ]
+    table = chain_table(rho, [rt.questions[name] for name in order], [(0, 1)] * len(order))
+    return [("".join(map(str, outcomes)), p) for outcomes, p in table]
 
 
 def _run_sweep(args: dict, rt: Runtime) -> SweepResult:
     from .analysis import sweep_fallacy_map
 
     return sweep_fallacy_map(args["theta"], args["theta_a"], args["phi"])
+
+
+# The columns a simulate or underextension row takes from its result, after
+# the task's arguments and, for simulate, the agent count.
+_SIMULATE_FIELDS = (
+    "seed count_a1 count_b1 count_a1_then_b1 count_b1_then_a1 p_a1 p_b1 p_a1_then_b1 p_b1_then_a1"
+).split()
+_UNDEREXTENSION_FIELDS = "mu_a mu_b and_low and_high or_low or_high underextension".split()
 
 
 def _run_simulate(args: dict, rt: Runtime):
@@ -195,11 +194,7 @@ def _run_simulate(args: dict, rt: Runtime):
         rt.populations[pop], rt.questions[a], rt.questions[b],
         args["agents"], args["seed"],
     )
-    return [(
-        pop, a, b, t.n_agents, t.seed,
-        t.count_a1, t.count_b1, t.count_a1_then_b1, t.count_b1_then_a1,
-        t.p_a1, t.p_b1, t.p_a1_then_b1, t.p_b1_then_a1,
-    )]
+    return [(pop, a, b, t.n_agents, *(getattr(t, name) for name in _SIMULATE_FIELDS))]
 
 
 def _run_underextension(args: dict, rt: Runtime):
@@ -207,10 +202,7 @@ def _run_underextension(args: dict, rt: Runtime):
     est = underextension_estimate(
         _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
     )
-    return [(
-        state, a, b, est.mu_a, est.mu_b,
-        est.and_low, est.and_high, est.or_low, est.or_high, est.underextension,
-    )]
+    return [(state, a, b, *(getattr(est, name) for name in _UNDEREXTENSION_FIELDS))]
 
 
 def _run_uncertainty(args: dict, rt: Runtime):
@@ -230,14 +222,9 @@ _TASKS = {
     "fallacy": (",".join(["state", "a", "b", *_FALLACY_FIELDS]), _run_fallacy),
     "sequence": ("outcomes,probability", _run_sequence),
     "sweep": (SWEEP_HEADER, _run_sweep),
-    "simulate": (
-        "population,a,b,agents,seed,count_a1,count_b1,count_a1_then_b1,"
-        "count_b1_then_a1,p_a1,p_b1,p_a1_then_b1,p_b1_then_a1",
-        _run_simulate,
-    ),
+    "simulate": (",".join(["population", "a", "b", "agents", *_SIMULATE_FIELDS]), _run_simulate),
     "underextension": (
-        "state,a,b,mu_a,mu_b,and_low,and_high,or_low,or_high,underextension",
-        _run_underextension,
+        ",".join(["state", "a", "b", *_UNDEREXTENSION_FIELDS]), _run_underextension
     ),
     "uncertainty": ("a,b,steps,minimum,theta_s,phi_s", _run_uncertainty),
 }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from .errors import ImpossibleOutcomeError, ValidationError
 from .observables import Question, eigenvectors_in_reference, relative_relation
@@ -76,8 +76,28 @@ def collapse(rho: MixedState, q: Question, i: int) -> MixedState:
     return density_from_pure(eigenvectors_in_reference(q)[i])
 
 
+def chain_table(rho: MixedState, questions: Sequence[Question],
+                answers: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], float]]:
+    """``(answers, probability)`` of each chain asking ``questions`` in order
+    with its k-th answer in ``answers[k]``, in ``itertools.product(*answers)`` order.
+
+    An answer leaves its eigenprojector, so each step probability is computed
+    once per (previous answer, answer), 2 + 4(k-1) for a full table.  A row
+    multiplies its steps left to right, and a zero step makes it 0.0.
+    """
+    rows = [((), 1.0)]
+    states = {(): rho}  # keyed by the previous answer, as a 0- or 1-tuple
+    for q, outs in zip(questions, answers, strict=True):
+        step = {(prev, o): outcome_probability(s, q, o)
+                for prev, s in states.items() for o in outs}
+        rows = [(chain + (o,), 0.0 if (p := step[chain[-1:], o]) == 0.0 else total * p)
+                for chain, total in rows for o in outs]
+        states = {(o,): density_from_pure(eigenvectors_in_reference(q)[o]) for o in outs}
+    return rows
+
+
 def consecutive_probability(rho: MixedState, steps: Iterable[OutcomeStep]) -> float:
-    """Chain probability P(step1) * P(step2 | collapsed) * ...
+    """Chain probability P(step1) * P(step2 | collapsed) * ...: a one-row :func:`chain_table`.
 
     A zero-probability intermediate makes the whole chain probability zero;
     unlike :func:`collapse` this is a quantity, not an asserted event, so no
@@ -86,16 +106,7 @@ def consecutive_probability(rho: MixedState, steps: Iterable[OutcomeStep]) -> fl
     steps = list(steps)
     if not steps:
         raise ValidationError("consecutive_probability: empty step list")
-    total = 1.0
-    state = rho
-    for step in steps:
-        p = outcome_probability(state, step.question, step.outcome)
-        if p == 0.0:
-            return 0.0
-        total *= p
-        state = density_from_pure(
-            eigenvectors_in_reference(step.question)[step.outcome]
-        )
+    [(_, total)] = chain_table(rho, [s.question for s in steps], [(s.outcome,) for s in steps])
     return total
 
 

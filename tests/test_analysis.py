@@ -9,12 +9,15 @@ from qopinion import (
     BasisRelation,
     FallacyReport,
     MixedState,
+    OutcomeStep,
     PreconditionError,
     Question,
     RegimeClass,
     SingularityError,
     ValidationError,
     classify_regime,
+    compose_relations,
+    consecutive_probability,
     decompose_total_probability,
     density_from_pure,
     fallacy_inequalities,
@@ -223,6 +226,30 @@ def test_underextension_estimate_brackets():
     assert est.or_low <= est.or_high
     assert est.mu_a == pytest.approx(math.sin(1.8) ** 2, abs=1e-14)
     assert est.or_low == pytest.approx(est.mu_a + est.mu_b - est.and_high, abs=1e-14)
+
+
+def test_underextension_invariants_on_random_composed_pairs():
+    rng = random.Random(2008)
+
+    def draw():
+        return BasisRelation(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
+
+    for _ in range(500):
+        s = pure_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        a = Question("a", compose_relations(draw(), draw()))
+        b = Question("b", compose_relations(a.relation_to_reference, draw()))
+        if rng.random() < 0.5:
+            a, b = b, a
+        est = underextension_estimate(s, a, b)
+        rho = density_from_pure(s)
+        chains = {
+            consecutive_probability(rho, [OutcomeStep(first, 1), OutcomeStep(second, 1)])
+            for first, second in ((a, b), (b, a))
+        }
+        assert est.and_low <= est.and_high
+        assert {est.and_low, est.and_high} == chains
+        assert abs((est.or_high - est.or_low) - (est.and_high - est.and_low)) <= 1e-15
+        assert est.underextension == (est.or_high < est.mu_a or est.or_high < est.mu_b)
 
 
 def test_uncertainty_sum_minimum():

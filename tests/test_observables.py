@@ -106,6 +106,48 @@ def test_compose_relations_matches_sequential_rotation():
         assert abs(abs(direct.amp1) - abs(chained.amp1)) < 1e-12
 
 
+def _round_trip_gap(ra, rb):
+    """Largest entry of |Q_back - Q_b|, where Q_back is the question built by
+    composing relative_relation(a, b) back onto a."""
+    a, b = Question("a", ra), Question("b", rb)
+    back = Question("back", compose_relations(ra, relative_relation(a, b)))
+    mb, mback = question_matrix(b), question_matrix(back)
+    return max(abs(mb[i][j] - mback[i][j]) for i in (0, 1) for j in (0, 1))
+
+
+def _draw(rng):
+    return BasisRelation(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+
+
+def test_relative_relation_composes_back_onto_the_target():
+    rng = random.Random(1907)
+    # From the identity; and a = b = (pi/2, 0), whose overlap <a0|a0> is
+    # exactly 1, so relative_relation returns the identity relation and
+    # compose_relations returns the base unchanged.
+    cases = [(IDENTITY_RELATION, _draw(rng)), (BasisRelation(math.pi / 2, 0.0),) * 2]
+    for _ in range(300):
+        a = _draw(rng)
+        quarter_turn = BasisRelation(math.pi / 2, rng.uniform(0.1, 2 * math.pi - 0.1))
+        cases += [(a, _draw(rng)), (a, compose_relations(a, quarter_turn))]
+    for ra, rb in cases:
+        assert _round_trip_gap(ra, rb) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_relation_from_columns takes theta = acos(|v00|), which recovers a "
+    "tilt near 0 only to ~1e-8",
+)
+def test_relative_relation_composes_back_at_zero_tilt():
+    rng = random.Random(1908)
+    cases = []
+    for _ in range(50):
+        a, phi = _draw(rng), rng.uniform(0.1, 2 * math.pi - 0.1)
+        cases += [(a, compose_relations(a, BasisRelation(0.0, phi))), (a, BasisRelation(0.0, phi))]
+    assert max(_round_trip_gap(ra, rb) for ra, rb in cases) <= 1e-12
+
+
 def test_conditional_probability_symmetry_and_values():
     a = Question("a")
     b = Question("b", BasisRelation(0.2, 0.0))
