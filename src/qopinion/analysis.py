@@ -21,10 +21,11 @@ from .fallacy import (
     RegimeClass,
     _fallacy,
     _relation_terms,
-    _rotation_terms,
     classify_regime,
 )
-from .observables import BasisRelation, Question, eigenvectors_in_reference, relative_relation
+from .observables import (
+    BasisRelation, Question, _rotation_terms, eigenvectors_in_reference, relative_relation
+)
 from .states import pure_from_angles
 
 

@@ -276,9 +276,7 @@ class _Parser:
             )
             self.states.append(PureStateDecl(name, kv["basis"], kv["theta_a"], kv["phi_a"]))
         else:
-            kv = self.parse_kv(toks[3:], {"basis": "question", "p1": "float"}, {})
-            if not (0.0 <= kv["p1"] <= 1.0):
-                self.fail(toks[3][1], f"p1 must lie in [0, 1], got {kv['p1']!r}")
+            kv = self.parse_kv(toks[3:], {"basis": "question", "p1": "probability"}, {})
             self.states.append(MixedStateDecl(name, kv["basis"], kv["p1"]))
 
     def parse_population(self, toks):
@@ -335,7 +333,7 @@ class _Parser:
                 self.fail(col, f"unknown argument {key!r}")
             if key in values:
                 self.fail(col, f"duplicate argument {key!r}")
-            values[key] = self.parse_value(vtype, raw, col + len(key) + 1)
+            values[key] = self.parse_value(key, vtype, raw, col + len(key) + 1)
         for key in required:
             if key not in values:
                 self.fail(toks[0][1] if toks else 1, f"missing required argument {key!r}")
@@ -343,7 +341,12 @@ class _Parser:
             values.setdefault(key, default)
         return values
 
-    def parse_value(self, vtype, raw, col):
+    def parse_value(self, key, vtype, raw, col):
+        if vtype == "probability":
+            value = self.read(parse_number, raw, col)
+            if not 0.0 <= value <= 1.0:
+                self.fail(col, f"{key} must lie in [0, 1], got {value!r}")
+            return value
         if vtype in _NUMERIC:
             return self.read(_NUMERIC[vtype], raw, col)
         if vtype in ("question", "state", "population"):

@@ -37,6 +37,7 @@ from .measurement import OutcomeStep, consecutive_probability, outcome_probabili
 from .observables import (
     BasisRelation,
     Question,
+    _rotation_terms,
     conditional_probability,
     eigenvectors_in_reference,
     relative_relation,
@@ -96,7 +97,9 @@ class UnderextensionEstimate:
     The conjunction has no unique order-free value here, so ``and_low`` and
     ``and_high`` bracket the two ordered chain probabilities; the or-range
     follows by inclusion-exclusion.  ``underextension`` flags or_high falling
-    below one of the single-event probabilities.
+    more than the 1e-12 guard below one of the single-event probabilities,
+    which exact arithmetic never does: and_low is at most P(x1) P(y1|x1)
+    <= P(x1), so or_high is at least both.
     """
 
     and_low: float
@@ -113,11 +116,6 @@ def _abs2(z):
     :class:`analysis.ComplexArray` squares through the same libm pow."""
     abs2 = getattr(z, "abs2", None)
     return abs(z) ** 2 if abs2 is None else abs2()
-
-
-def _rotation_terms(rel: BasisRelation) -> tuple[float, float, complex]:
-    """(cos theta, sin theta, e^{i phi}): what rotating into a basis needs."""
-    return math.cos(rel.theta), math.sin(rel.theta), cmath.exp(1j * rel.phi)
 
 
 def _relation_terms(rel: BasisRelation) -> tuple[float, float, complex]:
@@ -146,8 +144,8 @@ def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> dict:
     :func:`analysis.sweep_fallacy_map` (arrays).
 
     ``amp0, amp1`` are the state's amplitudes in the reference basis,
-    ``rotate_a``/``rotate_b`` the :func:`_rotation_terms` of a's and b's
-    relation to the reference, ``a_to_b``/``b_to_a`` the
+    ``rotate_a``/``rotate_b`` the :func:`observables._rotation_terms` of
+    a's and b's relation to the reference, ``a_to_b``/``b_to_a`` the
     :func:`_relation_terms` of b seen from a and of a seen from b.
     """
     classical_b, interference_b = _split(
@@ -295,5 +293,5 @@ def underextension_estimate(
         or_high=or_high,
         mu_a=mu_a,
         mu_b=mu_b,
-        underextension=(or_high < mu_a or or_high < mu_b),
+        underextension=or_high < max(mu_a, mu_b) - FALLACY_GUARD,
     )

@@ -51,15 +51,15 @@ class Question:
     relation_to_reference: BasisRelation = field(default=IDENTITY_RELATION)
 
 
+def _rotation_terms(rel: BasisRelation) -> tuple[float, float, complex]:
+    """(cos theta, sin theta, e^{i phi}): what rotating into a basis needs."""
+    return math.cos(rel.theta), math.sin(rel.theta), cmath.exp(1j * rel.phi)
+
+
 def eigenvectors_in_reference(q: Question) -> tuple[PureState, PureState]:
     """Eigenvectors (|q0>, |q1>) of ``q`` expressed in the reference basis."""
-    theta = q.relation_to_reference.theta
-    phi = q.relation_to_reference.phi
-    c, s = math.cos(theta), math.sin(theta)
-    phase = cmath.exp(1j * phi)
-    q0 = PureState(complex(c), -s * phase)
-    q1 = PureState(s / phase, complex(c))
-    return q0, q1
+    c, s, phase = _rotation_terms(q.relation_to_reference)
+    return PureState(complex(c), -s * phase), PureState(s / phase, complex(c))
 
 
 def change_basis(s: PureState, rel: BasisRelation) -> PureState:
@@ -70,8 +70,7 @@ def change_basis(s: PureState, rel: BasisRelation) -> PureState:
         beta0 = alpha0 cos(theta) - alpha1 sin(theta) e^{-i phi}
         beta1 = alpha0 sin(theta) e^{i phi} + alpha1 cos(theta)
     """
-    c, sn = math.cos(rel.theta), math.sin(rel.theta)
-    return PureState(*rotate_amplitudes(s.amp0, s.amp1, c, sn, cmath.exp(1j * rel.phi)))
+    return PureState(*rotate_amplitudes(s.amp0, s.amp1, *_rotation_terms(rel)))
 
 
 def rotate_amplitudes(amp0, amp1, c, sn, phase):
@@ -88,8 +87,8 @@ def rotate_amplitudes(amp0, amp1, c, sn, phase):
 def from_basis(s: PureState, rel: BasisRelation) -> PureState:
     """Inverse of :func:`change_basis`: coordinates given in the rotated
     basis, result expressed in the reference basis: the rotation by -theta."""
-    c, sn = math.cos(rel.theta), math.sin(rel.theta)
-    return PureState(*rotate_amplitudes(s.amp0, s.amp1, c, -sn, cmath.exp(1j * rel.phi)))
+    c, sn, phase = _rotation_terms(rel)
+    return PureState(*rotate_amplitudes(s.amp0, s.amp1, c, -sn, phase))
 
 
 def inverse_relation(rel: BasisRelation) -> BasisRelation:
@@ -100,11 +99,10 @@ def inverse_relation(rel: BasisRelation) -> BasisRelation:
 def _relation_from_columns(v00: complex, v10: complex) -> BasisRelation:
     """Extract canonical (theta, phi) from the first column of a basis
     transition matrix, after rephasing the column so v00 is real >= 0."""
-    m = min(abs(v00), 1.0)
-    theta = math.acos(m)
+    theta = math.atan2(abs(v10), abs(v00))
     if abs(v10) <= _DEGENERATE_TOL:
         phi = 0.0
-    elif m <= _DEGENERATE_TOL:
+    elif abs(v00) <= _DEGENERATE_TOL:
         phi = cmath.phase(-v10)
     else:
         phi = cmath.phase(-v10) - cmath.phase(v00)
@@ -136,9 +134,8 @@ def compose_relations(base: BasisRelation, local: BasisRelation) -> BasisRelatio
         return local
     if local == IDENTITY_RELATION:
         return base
-    c, s = math.cos(local.theta), math.sin(local.theta)
-    local_q0 = PureState(complex(c), -s * cmath.exp(1j * local.phi))
-    col0 = from_basis(local_q0, base)
+    c, s, phase = _rotation_terms(local)
+    col0 = from_basis(PureState(complex(c), -s * phase), base)
     return _relation_from_columns(col0.amp0, col0.amp1)
 
 
@@ -169,23 +166,9 @@ def question_matrix(q: Question) -> list[list[complex]]:
 
 
 def commutator_is_zero(a: Question, b: Question) -> bool:
-    """True iff the max-magnitude entry of AB - BA is below 1e-12."""
-    ma, mb = question_matrix(a), question_matrix(b)
+    """True iff the operator norm of AB - BA is below 1e-12.
 
-    def matmul(x, y):
-        return [
-            [
-                x[0][0] * y[0][0] + x[0][1] * y[1][0],
-                x[0][0] * y[0][1] + x[0][1] * y[1][1],
-            ],
-            [
-                x[1][0] * y[0][0] + x[1][1] * y[1][0],
-                x[1][0] * y[0][1] + x[1][1] * y[1][1],
-            ],
-        ]
-
-    ab, ba = matmul(ma, mb), matmul(mb, ma)
-    worst = max(
-        abs(ab[i][j] - ba[i][j]) for i in (0, 1) for j in (0, 1)
-    )
-    return worst < _DEGENERATE_TOL
+    For two projectors whose eigenbases are tilted by t that norm is
+    |cos t sin t| = |sin 2t| / 2, so it is read off the relative tilt.
+    """
+    return abs(math.sin(2.0 * relative_relation(a, b).theta)) / 2.0 < _DEGENERATE_TOL

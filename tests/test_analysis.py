@@ -29,6 +29,8 @@ from qopinion import (
     uncertainty_sum_minimum,
 )
 from qopinion.analysis import GridRange
+from qopinion import fallacy
+from qopinion.fallacy import FALLACY_GUARD
 from qopinion.oracle import brute_force_outcome_probability
 
 A = Question("a")
@@ -249,7 +251,36 @@ def test_underextension_invariants_on_random_composed_pairs():
         assert est.and_low <= est.and_high
         assert {est.and_low, est.and_high} == chains
         assert abs((est.or_high - est.or_low) - (est.and_high - est.and_low)) <= 1e-15
-        assert est.underextension == (est.or_high < est.mu_a or est.or_high < est.mu_b)
+        assert est.underextension == (est.or_high < max(est.mu_a, est.mu_b) - FALLACY_GUARD)
+        assert not est.underextension
+
+
+@pytest.mark.parametrize(
+    "base, phi, state",
+    [((2.27, 1.44), 5.87, (2.83, 0.19)), ((1.86, 2.47), 1.14, (1.58, 6.17)),
+     ((2.51, 3.25), 1.46, (2.04, 2.48))],
+)
+def test_underextension_flag_is_zero_on_equal_questions(base, phi, state):
+    # b is a up to eigenvector phase.  Here or_high falls up to 1.1e-16 below
+    # one margin, which raised the flag through rounding alone before the
+    # comparison took the guard band.
+    a = Question("a", BasisRelation(*base))
+    b = Question("b", compose_relations(a.relation_to_reference, BasisRelation(0.0, phi)))
+    for first, second in ((a, b), (b, a)):
+        est = underextension_estimate(pure_from_angles(*state), first, second)
+        assert abs(est.mu_a - est.mu_b) <= 1e-15
+        assert not est.underextension
+
+
+def test_underextension_flags_or_high_below_either_margin(monkeypatch):
+    # Exact chains never raise the flag, so feed it a conjunction of 0.3.
+    # At theta_a = 0.5 (mu_a 0.23, mu_b 0.41) or_high = 0.35 lies below mu_b
+    # only; at theta_a = 1.0 (mu_a 0.71, mu_b 0.87) it lies above both.
+    monkeypatch.setattr(fallacy, "consecutive_probability", lambda rho, steps: 0.3)
+    b = Question("b", BasisRelation(0.2, 0.0))
+    for theta_a, flagged in ((0.5, True), (1.0, False)):
+        est = underextension_estimate(pure_from_angles(theta_a, 0.0), A, b)
+        assert est.underextension == flagged
 
 
 def test_uncertainty_sum_minimum():

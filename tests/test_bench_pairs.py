@@ -1,6 +1,7 @@
 """The summary that ``tools/bench_pairs.py`` writes into ``BENCH_*.json``."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -54,3 +55,32 @@ def test_summarise_counts_wins_in_the_better_direction_and_ties_for_neither():
     assert out["throughput"]["better"] == "higher"
     assert out["wall_s"]["base"] == bench_pairs.spread([1.0, 2.0, 3.0])
     assert out["throughput"]["change"] == bench_pairs.spread([11.0, 20.0, 31.0])
+
+
+def test_change_side_is_a_snapshot_of_the_working_tree(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("__pycache__/\n.bench_build/\n")
+    (tmp_path / "mod.py").write_text("X = 1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (tmp_path / "mod.py").write_text("X = 2\n")
+    (tmp_path / "new.py").write_text("Y = 3\n")
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "mod.cpython.pyc").write_bytes(b"\0")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+
+    tree = bench_pairs.snapshot()
+    assert tree == tmp_path / ".bench_build" / "change"
+    assert sorted(p.name for p in tree.iterdir()) == [".gitignore", "mod.py", "new.py"]
+    assert (tree / "mod.py").read_text() == "X = 2\n"
+    # The real index is untouched: the edit and the new file stay unstaged.
+    status = subprocess.run(
+        ["git", "status", "--porcelain"], cwd=tmp_path, capture_output=True, text=True
+    ).stdout
+    assert status.splitlines() == [" M mod.py", "?? new.py"]

@@ -356,3 +356,22 @@ def test_allocation_beyond_the_address_space_exits_3(tmp_path, argv, text):
     assert out == ""
     assert err.startswith("out of memory: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "big.csv").exists()
+
+
+def test_equal_questions_show_no_fallacy(tmp_path):
+    # c is b up to eigenvector phase, composed through a tilted base, so
+    # each side's interference vanishes and P(a1) = P(b1).
+    qx = tmp_path / "equal.qx"
+    qx.write_text(
+        "question a\nquestion b from a theta=2.2 phi=0.3\n"
+        "question c from b theta=0 phi=1.0\nstate s pure basis=a theta_a=0.5\n"
+        "task fallacy state=s pair=b,c\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["run", str(qx), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()[1:]
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert [fields[f] for f in ("fallacy_b", "fallacy_a", "reverse_b", "reverse_a")] == ["0"] * 4
+    assert abs(float(fields["interference_b1"])) <= 1e-15
+    assert abs(float(fields["interference_a1"])) <= 1e-15
+    assert abs(float(fields["p_a1"]) - float(fields["p_b1"])) <= 1e-15

@@ -250,7 +250,7 @@ def test_non_finite_numbers_rejected_with_location(line):
         ("  question c from zz theta=0.1  # base not declared", "zz",
          'unresolved reference "zz"'),
         ("state t pure basis=a theta_a=nope # typo", "nope", "malformed number 'nope'"),
-        ("    state m mixed basis=b p1=1.5", "basis=b", "p1 must lie in [0, 1], got 1.5"),
+        ("    state m mixed basis=b p1=1.5", "1.5", "p1 must lie in [0, 1], got 1.5"),
         ("population p = 0.5*s + 0.5*ghost  # ghost", "ghost", 'unresolved reference "ghost"'),
         ("\ttask fallacy state=s pair=a,zz", "a,zz", 'unresolved reference "zz"'),
         ("task sweep pair=a,b theta=0:1:1 theta_a=0:1:4  # one step", "0:1:1",
@@ -269,6 +269,16 @@ def test_diagnostic_cites_the_raw_line_and_token(bad, token, message):
         parse(text)
     (err,) = info.value.errors
     assert err == ParseError(4, bad.index(token) + 1, message, bad)
+
+
+@pytest.mark.parametrize(
+    "line", ["state m mixed basis=a p1=-0.25", "state m mixed p1=-0.25 basis=a"]
+)
+def test_p1_out_of_range_points_at_its_value(line):
+    with pytest.raises(ExperimentSyntaxError) as info:
+        parse("question a\n" + line + "\n")
+    (err,) = info.value.errors
+    assert err == ParseError(2, line.index("-0.25") + 1, "p1 must lie in [0, 1], got -0.25", line)
 
 
 # Characters that str.splitlines() breaks at but text-mode reading does not;

@@ -133,12 +133,6 @@ def test_relative_relation_composes_back_onto_the_target():
         assert _round_trip_gap(ra, rb) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_relation_from_columns takes theta = acos(|v00|), which recovers a "
-    "tilt near 0 only to ~1e-8",
-)
 def test_relative_relation_composes_back_at_zero_tilt():
     rng = random.Random(1908)
     cases = []
@@ -180,3 +174,52 @@ def test_commutator_detection():
     # A pi/2 tilt swaps eigenvectors; both operators stay diagonal.
     assert commutator_is_zero(a, Question("swap", BasisRelation(math.pi / 2, 0.0)))
     assert not commutator_is_zero(a, Question("tilted", BasisRelation(0.3, 0.0)))
+
+
+def _matrix_commutator(a, b):
+    """AB - BA from the dense matrices: the reference for commutator_is_zero."""
+    ma, mb = question_matrix(a), question_matrix(b)
+
+    def matmul(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in (0, 1)] for i in (0, 1)]
+
+    ab, ba = matmul(ma, mb), matmul(mb, ma)
+    return [[ab[i][j] - ba[i][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def test_commutator_from_the_tilt_matches_the_matrix_product():
+    # AB - BA is traceless and anti-hermitian, so its operator norm is
+    # sqrt(|c00|^2 + |c01|^2) while its largest entry lies between norm/sqrt(2)
+    # and norm: the old entry-wise test and the norm test must differ on
+    # norms in [1e-12, sqrt(2) * 1e-12), and only there.
+    rng = random.Random(1212)
+    compared = {True: 0, False: 0}
+    skipped = 0
+    for k in range(3000):
+        a = _draw(rng)
+        kind = k % 5
+        tilt = [
+            0.0,
+            math.pi / 2,
+            10.0 ** rng.uniform(-14.0, -10.0),
+            math.pi / 2 + 10.0 ** rng.uniform(-14.0, -10.0),
+            rng.uniform(0.0, math.pi),
+        ][kind]
+        b = compose_relations(a, BasisRelation(tilt, rng.uniform(0.0, 2 * math.pi)))
+        qa, qb = Question("a", a), Question("b", b)
+        if rng.random() < 0.5:
+            qa, qb = qb, qa
+        c = _matrix_commutator(qa, qb)
+        norm = math.sqrt(abs(c[0][0]) ** 2 + abs(c[0][1]) ** 2)
+        if kind < 2:
+            # Equal and quarter-turn tilts commute whatever the bases.
+            assert norm < 1e-15
+            assert commutator_is_zero(qa, qb)
+        if 1e-12 <= norm < math.sqrt(2.0) * 1e-12:
+            skipped += 1
+            continue
+        expected = max(abs(c[i][j]) for i in (0, 1) for j in (0, 1)) < 1e-12
+        assert commutator_is_zero(qa, qb) == expected, (a, b, norm)
+        compared[expected] += 1
+    assert skipped < 100
+    assert min(compared.values()) > 1000

@@ -2,8 +2,10 @@
 
     python3 tools/bench_pairs.py --base REV --pairs N --out FILE
 
-The change side is this checkout's working tree; the base side is REV,
-extracted with ``git archive`` under ``.bench_build/base-<commit>/``.  For
+The change side is a snapshot of this checkout's working tree: every file
+git does not ignore, edits and untracked files included, so neither side
+starts with ``__pycache__``.  It is extracted under ``.bench_build/change/``
+and the base side, REV, under ``.bench_build/base-<commit>/``.  For
 each of N pairs and each workload it runs ``perfbench/run.py --workload W
 --seed S --seconds 0 --trace 0`` once per side (pair i uses seed
 FIRST_SEED + i; the side that runs first alternates), then one traced pass
@@ -19,11 +21,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,18 +40,29 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
-def extract(rev: str) -> tuple[str, Path]:
-    """Commit id of ``rev`` and a fresh copy of its files."""
-    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    tree = ROOT / ".bench_build" / f"base-{commit[:12]}"
+def extract(treeish: str, name: str) -> Path:
+    """A fresh copy of ``treeish``'s files in ``.bench_build/<name>/``."""
+    tree = ROOT / ".bench_build" / name
     shutil.rmtree(tree, ignore_errors=True)
     tree.mkdir(parents=True)
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True
+        ["git", "archive", "--format=tar", treeish], cwd=ROOT, capture_output=True, check=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
-    return commit, tree
+    return tree
+
+
+def snapshot() -> Path:
+    """A fresh copy of the working tree's files that git does not ignore,
+    staged through a throwaway index so the real one is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        tree_id = subprocess.run(
+            ["git", "write-tree"], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    return extract(tree_id, "change")
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -94,8 +109,8 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    commit, base_tree = extract(args.base)
-    trees = {"base": base_tree, "change": ROOT}
+    commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    trees = {"base": extract(commit, f"base-{commit[:12]}"), "change": snapshot()}
     runs = {w: {"base": [], "change": []} for w in workloads}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -105,13 +120,14 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     traced = {side: bench(tree, "all", FIRST_SEED, 1) for side, tree in trees.items()}
 
-    env_record = ROOT / ".bench_build" / "perfbench" / f"{workloads[0]}-seed{FIRST_SEED}-trace0.json"
+    env_record = (trees["change"] / ".bench_build" / "perfbench"
+                  / f"{workloads[0]}-seed{FIRST_SEED}-trace0.json")
     result = {
         "command": f"python3 tools/bench_pairs.py --base {args.base} --pairs {args.pairs} "
         f"--out {args.out}",
         "base": commit,
         "change": _git("rev-parse", "HEAD")
-        + ("+uncommitted" if _git("status", "--porcelain", "--untracked-files=no") else ""),
+        + ("+uncommitted" if _git("status", "--porcelain") else ""),
         "pairs": args.pairs,
         "seeds": [FIRST_SEED + i for i in range(args.pairs)],
         "workloads": {
