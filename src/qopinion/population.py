@@ -53,8 +53,11 @@ class PopulationSpec:
 
 
 # Rows of uniforms per draw: memory stays O(chunk) whatever the agent count.
-# At 10^7 agents 2^14-2^16 rows (2.5 MB at 2^16) ran faster than 2^18-2^20.
-_CHUNK_ROWS = 1 << 16
+# At 10^7 agents 2^14-2^16 rows ran faster than 2^18-2^20.  Two spans draw at
+# once, so 2^15 rows (1.25 MB) each keep 2.5 MB of uniforms in flight; a run
+# below 2^15 agents (the golden file's 20,000) is one chunk and starts no
+# thread.
+_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -141,27 +144,50 @@ def predicted_fallacy_rate(pop: PopulationSpec, a: Question, b: Question) -> flo
     return rate
 
 
+def _count_span(model, seed: int, lo: int, hi: int):
+    """Joint code counts of agents [lo, hi): rows [lo, hi) of the seed's
+    stream, drawn in chunks.  A float64 draw takes exactly one PCG64 step, so
+    advancing by ``5 * lo`` steps starts at row ``lo``."""
+    bits = np.random.PCG64(seed)
+    bits.advance(5 * lo)
+    rng = np.random.Generator(bits)
+    joint = np.zeros(16, dtype=np.int64)
+    for start in range(lo, hi, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, hi - start)
+        codes = simulate_answers(rng.random((rows, 5)), *model)
+        joint += np.bincount(codes, minlength=16)
+    return joint
+
+
 def simulate_population(
     pop: PopulationSpec, a: Question, b: Question, n_agents: int, seed: int
 ) -> SimulationTable:
     """Seeded Monte Carlo answer table over ``n_agents`` agents.
 
-    Uniform variates come from one ``default_rng(seed)`` generator, drawn
-    in sequential chunks of (at most ``_CHUNK_ROWS``, 5): the same stream as
-    one (n, 5) draw, so runs are bit-reproducible for a given seed and
-    memory does not grow with ``n_agents``.  The kernel turns each row, in a
+    The uniform variates are the rows of one (n, 5) draw from
+    ``default_rng(seed)``, so runs are bit-reproducible for a given seed.
+    They are drawn in chunks of at most ``_CHUNK_ROWS`` rows, so memory does
+    not grow with ``n_agents``.  A run of more than one chunk is split into
+    two contiguous spans: this thread counts the lower half of the chunks
+    (rounded up) while one worker thread counts the rest from its own
+    generator, advanced to its first row.  The kernel turns each row, in a
     fixed order (component draw, A-first answers, B-first answers), into the
-    agent's 4-bit answer code, and the table counts the codes.
+    agent's 4-bit answer code, and the table adds the two spans' code counts,
+    which does not depend on which span finishes first.
     """
     if n_agents < 1:
         raise ValidationError(f"n_agents must be >= 1, got {n_agents}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     model = _crowd_model(pop, a, b)
-    rng = np.random.default_rng(seed)
-    joint = np.zeros(16, dtype=np.int64)
-    for start in range(0, n_agents, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n_agents - start)
-        codes = simulate_answers(rng.random((rows, 5)), *model)
-        joint += np.bincount(codes, minlength=16)
+    chunks = -(-n_agents // _CHUNK_ROWS)
+    if chunks == 1:
+        joint = _count_span(model, seed, 0, n_agents)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        mid = -(-chunks // 2) * _CHUNK_ROWS
+        with ThreadPoolExecutor(1) as worker:
+            upper = worker.submit(_count_span, model, seed, mid, n_agents)
+            joint = _count_span(model, seed, 0, mid) + upper.result()
     return SimulationTable(n_agents, seed, tuple(int(n) for n in joint))

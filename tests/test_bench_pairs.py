@@ -1,6 +1,7 @@
 """The summary that ``tools/bench_pairs.py`` writes into ``BENCH_*.json``."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -84,3 +85,45 @@ def test_change_side_is_a_snapshot_of_the_working_tree(tmp_path, monkeypatch):
         ["git", "status", "--porcelain"], cwd=tmp_path, capture_output=True, text=True
     ).stdout
     assert status.splitlines() == [" M mod.py", "?? new.py"]
+
+
+def test_bench_runs_perfbench_for_the_given_seconds(tmp_path, monkeypatch):
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs["cwd"]))
+        return subprocess.CompletedProcess(argv, 0, stdout='noise\n{"failed": 0}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.bench(tmp_path, "sweep_256", 41, 0, 35) == {"failed": 0}
+    assert calls == [(
+        [bench_pairs.sys.executable, "perfbench/run.py", "--workload", "sweep_256",
+         "--seed", "41", "--seconds", "35", "--trace", "0"],
+        tmp_path,
+    )]
+
+
+def test_every_run_lasts_the_benchmark_run_seconds(tmp_path, monkeypatch):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    record = tmp_path / "change" / ".bench_build" / "perfbench"
+    record.mkdir(parents=True)
+    (record / f"{workloads[0]}-seed{bench_pairs.FIRST_SEED}-trace0.json").write_text(
+        '{"environment": {}}'
+    )
+    seconds = []
+
+    def bench(tree, workload, seed, trace, run_seconds):
+        seconds.append(run_seconds)
+        names = [m["name"] for m in spec["end_to_end"]]
+        return {"failed": 0, "attempted": 1, "metrics": {n: {"value": 1.0} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    monkeypatch.setattr(bench_pairs, "extract", lambda treeish, name: tmp_path / "base")
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda: tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", "HEAD", "--pairs", "2", "--out", str(out)]) == 0
+    # 2 pairs x 2 sides per workload, then one traced pass per side.
+    assert seconds == [spec["run_seconds"]] * (4 * len(workloads) + 2)
+    assert json.loads(out.read_text())["run_seconds"] == spec["run_seconds"]

@@ -2,8 +2,9 @@
 
 The point-wise tasks (fallacy, sequence, underextension) are scalar code:
 importing the package or the CLI, or running a file of such tasks, must not
-load numpy.  The sweep, uncertainty and simulate paths must.  Each check runs
-in a fresh interpreter, since this one has long since loaded numpy.
+load numpy.  The sweep, uncertainty and simulate paths must; a one-chunk
+simulation must not load the thread pool that counts a second span.  Each
+check runs in a fresh interpreter, since this one has long since loaded numpy.
 """
 
 import importlib
@@ -67,10 +68,10 @@ MODULES = (
 ALL = {*MODULES, *(name for names in EXPORTS.values() for name in names)}
 
 
-def _loads_numpy(code: str) -> bool:
-    """Whether numpy is in ``sys.modules`` after ``code`` runs in a fresh
+def _loads(module: str, code: str) -> bool:
+    """Whether ``module`` is in ``sys.modules`` after ``code`` runs in a fresh
     interpreter."""
-    probe = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    probe = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
@@ -87,17 +88,23 @@ def _run_file(stem: str) -> str:
 
 @pytest.mark.parametrize("module", ["qopinion", "qopinion.cli"])
 def test_import_does_not_load_numpy(module):
-    assert not _loads_numpy(f"import {module}")
+    assert not _loads("numpy", f"import {module}")
 
 
 @pytest.mark.parametrize("stem", NUMPY_FREE)
 def test_point_wise_file_does_not_load_numpy(stem):
-    assert not _loads_numpy(_run_file(stem))
+    assert not _loads("numpy", _run_file(stem))
 
 
 @pytest.mark.parametrize("stem", NUMPY_USERS)
 def test_array_file_loads_numpy(stem):
-    assert _loads_numpy(_run_file(stem))
+    assert _loads("numpy", _run_file(stem))
+
+
+def test_one_chunk_simulation_starts_no_thread_pool():
+    # The golden file's 20,000 agents are one chunk: simulate_population
+    # imports concurrent.futures only to count a second span.
+    assert not _loads("concurrent.futures", _run_file("simulate_population"))
 
 
 def test_all_is_the_pinned_set():

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qopinion import (
     fallacy_report,
     pure_from_angles,
 )
-from qopinion import population
+from qopinion import cli, population
 from qopinion.kernels import simulate_answers
 from qopinion.measurement import outcome_probability
 from qopinion.observables import conditional_probability
@@ -164,8 +166,14 @@ THREE_WAY = PopulationSpec(
 CHUNK = population._CHUNK_ROWS
 
 
+# Two spans split at a chunk boundary: n covers one to seven chunks, even and
+# odd chunk counts, and spans that end inside a chunk.
 @pytest.mark.parametrize("seed", [0, 2024])
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+@pytest.mark.parametrize(
+    "n",
+    [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 7,
+     5 * CHUNK - 1, 6 * CHUNK + 7],
+)
 def test_chunked_draws_match_one_draw(n, seed):
     table = simulate_population(THREE_WAY, A, B, n, seed)
     counts, joint = _reference_counts(THREE_WAY, A, B, n, seed)
@@ -175,6 +183,47 @@ def test_chunked_draws_match_one_draw(n, seed):
     ) == counts
     assert len(table.joint_counts) == 16
     assert sum(table.joint_counts) == n
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_advanced_generator_draws_the_later_rows_of_one_draw(seed):
+    # The spans of simulate_population rely on two numpy facts: default_rng
+    # is PCG64, and a float64 draw takes exactly one PCG64 step.
+    assert np.random.default_rng(seed).bit_generator.state == np.random.PCG64(seed).state
+    n = 1000
+    rows = np.random.default_rng(seed).random((n, 5))
+    for lo in (0, 1, 7, 500, n - 1):
+        bits = np.random.PCG64(seed)
+        bits.advance(5 * lo)
+        assert np.array_equal(np.random.Generator(bits).random((n - lo, 5)), rows[lo:]), lo
+
+
+def _fail_off_the_main_thread(monkeypatch):
+    def answers(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker span")
+        return simulate_answers(*args)
+
+    monkeypatch.setattr(population, "simulate_answers", answers)
+
+
+def test_worker_span_error_reaches_the_caller(monkeypatch):
+    _fail_off_the_main_thread(monkeypatch)
+    with pytest.raises(MemoryError, match="worker span"):
+        simulate_population(THREE_WAY, A, B, 2 * CHUNK, 3)
+
+
+def test_worker_span_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    _fail_off_the_main_thread(monkeypatch)
+    qx = Path(__file__).parent / "golden" / "simulate_population.qx"
+    out = tmp_path / "sim.csv"
+    code = cli.main(
+        ["simulate", str(qx), "--agents", str(2 * CHUNK), "--seed", "3", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == ["out of memory: worker span"]
+    assert not out.exists()
 
 
 def test_simulation_memory_does_not_grow_with_agents():

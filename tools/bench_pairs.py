@@ -7,13 +7,15 @@ git does not ignore, edits and untracked files included, so neither side
 starts with ``__pycache__``.  It is extracted under ``.bench_build/change/``
 and the base side, REV, under ``.bench_build/base-<commit>/``.  For
 each of N pairs and each workload it runs ``perfbench/run.py --workload W
---seed S --seconds 0 --trace 0`` once per side (pair i uses seed
+--seed S --seconds T --trace 0`` once per side (pair i uses seed
 FIRST_SEED + i; the side that runs first alternates), then one traced pass
-(``--workload all --trace 1``) per side.  FILE gets, per workload and
-end-to-end metric of ``BENCHMARK.json``, each side's values, median and
-quartiles and the number of pairs the change won (ties count for neither),
-failed/attempted invocations per side, the traced per-layer metrics and
-the environment block.
+(``--workload all --trace 1``) per side.  T is ``run_seconds`` from
+``BENCHMARK.json``, the run length the benchmark is judged at: a sweep's
+later passes, for one, report a higher ``peak_rss_mb`` than its first.
+FILE gets T, and per workload and end-to-end metric of ``BENCHMARK.json``,
+each side's values, median and quartiles and the number of pairs the
+change won (ties count for neither), failed/attempted invocations per
+side, the traced per-layer metrics and the environment block.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ def snapshot() -> Path:
     return extract(tree_id, "change")
 
 
-def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """Last-line JSON result of one perfbench run in ``tree``."""
+def bench(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+    """Last-line JSON result of one ``seconds``-long perfbench run in ``tree``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", "0", "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -109,6 +111,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     trees = {"base": extract(commit, f"base-{commit[:12]}"), "change": snapshot()}
     runs = {w: {"base": [], "change": []} for w in workloads}
@@ -116,9 +119,9 @@ def main(argv=None) -> int:
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for w in workloads:
             for side in order:
-                runs[w][side].append(bench(trees[side], w, FIRST_SEED + i, 0))
+                runs[w][side].append(bench(trees[side], w, FIRST_SEED + i, 0, seconds))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    traced = {side: bench(tree, "all", FIRST_SEED, 1) for side, tree in trees.items()}
+    traced = {side: bench(tree, "all", FIRST_SEED, 1, seconds) for side, tree in trees.items()}
 
     env_record = (trees["change"] / ".bench_build" / "perfbench"
                   / f"{workloads[0]}-seed{FIRST_SEED}-trace0.json")
@@ -129,6 +132,7 @@ def main(argv=None) -> int:
         "change": _git("rev-parse", "HEAD")
         + ("+uncommitted" if _git("status", "--porcelain") else ""),
         "pairs": args.pairs,
+        "run_seconds": seconds,
         "seeds": [FIRST_SEED + i for i in range(args.pairs)],
         "workloads": {
             w: {
