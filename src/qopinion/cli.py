@@ -10,7 +10,11 @@ more than one task); diagnostics go to stderr, one line each.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -125,8 +129,17 @@ def _require_pure(state, name: str) -> PureState:
 _FLAG_FIELDS = [",".join(f"{code:04b}") for code in range(16)]
 
 
-def _sweep_lines(header: str, sweep: SweepResult) -> list[str]:
-    """The header, then one CSV row per cell, row-major in theta.
+# Theta rows per block that a sweep formats and writes at a time.  A raster
+# of one block is written in process; a larger one in two spans by two
+# processes, and the forked worker takes this share of its theta rows: less
+# than half, since it also renders the SVG.
+_CHUNK_ROWS = 16
+_WORKER_SHARE = 0.45
+
+
+def _sweep_rows(sweep: SweepResult, lo: int, hi: int) -> Iterator[str]:
+    """The CSV rows of theta rows ``lo`` to ``hi - 1``, row-major in theta:
+    one string of newline-separated rows per block of ``_CHUNK_ROWS``.
 
     The axis columns are formatted once per axis value, not once per row,
     and a cell's four flags once per code.
@@ -134,24 +147,28 @@ def _sweep_lines(header: str, sweep: SweepResult) -> list[str]:
     theta_a = [_cell(x) for x in sweep.theta_a.tolist()]
     columns = [getattr(sweep, name) for name in _FALLACY_FIELDS]
     values, flags = columns[:-4], columns[-4:]
-    codes = sum(flag * (8 >> k) for k, flag in enumerate(flags))
     fmt = f",{_cell(sweep.phi)}" + ",%.17g" * len(values) + ",%s,"
-    lines = [header]
-    for i, theta in enumerate(sweep.theta.tolist()):
-        head = f"{_cell(theta)},"
-        tail = fmt + sweep.regime[i].value
-        cells = zip(*(column[i].tolist() for column in values))
-        row_flags = [_FLAG_FIELDS[code] for code in codes[i].tolist()]
-        lines.extend(
-            head + x + tail % (*v, f) for x, v, f in zip(theta_a, cells, row_flags)
-        )
-    return lines
+    for start in range(lo, hi, _CHUNK_ROWS):
+        block = slice(start, min(start + _CHUNK_ROWS, hi))
+        codes = sum(flag[block] * (8 >> k) for k, flag in enumerate(flags))
+        lines = []
+        rows = zip(sweep.theta[block].tolist(), codes.tolist())
+        for i, (theta, row_codes) in enumerate(rows, start):
+            head = f"{_cell(theta)},"
+            tail = fmt + sweep.regime[i].value
+            cells = zip(*(column[i].tolist() for column in values))
+            row_flags = [_FLAG_FIELDS[code] for code in row_codes]
+            lines.extend(
+                head + x + tail % (*v, f) for x, v, f in zip(theta_a, cells, row_flags)
+            )
+        yield "\n".join(lines)
 
 
 def _csv_lines(header: str, result) -> list[str]:
-    """The header, then the rows: a sweep's raster or one line per value tuple."""
+    """The header, then the rows: a sweep's raster (a block of rows per item)
+    or one line per value tuple."""
     if isinstance(result, FallacyReport):  # only a sweep returns one
-        return _sweep_lines(header, result)
+        return [header, *_sweep_rows(result, 0, len(result.theta))]
     return [header, *(",".join(map(_cell, row)) for row in result)]
 
 
@@ -326,14 +343,97 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Write the sweep's CSV to ``--out`` and, with ``--svg``, its heatmap.
+
+    Formatting the ``.17g`` floats is most of a sweep's time, and it runs in
+    pure Python under the GIL: ``.17g`` has no faster form with the same
+    bytes (``repr`` agrees with it on only about half of all values), and a
+    second thread would only take turns with this one.  So a raster of more
+    than one block is written by two processes.  This one writes the header
+    and the lower theta rows; one forked worker writes the upper rows to an
+    unnamed file next to ``--out``, then the SVG.  The worker's file is
+    appended once it has exited.  A failing worker prints its own diagnostic
+    and the command exits with its code; the CSV is still whole when only
+    the SVG failed, since the worker writes its rows first.  The worker runs
+    only Python formatting and element-wise numpy, never a BLAS routine, so
+    the BLAS thread that the fork does not copy is never missed.
+    """
     header, runner = _TASKS["sweep"]
     sweep = runner(vars(args), None)
-    _write_output("\n".join(_csv_lines(header, sweep)) + "\n", args.out)
-    if args.svg is not None:
-        from .heatmap import fallacy_heatmap_svg
+    rows = len(sweep.theta)
+    split = rows if rows <= _CHUNK_ROWS else rows - int(rows * _WORKER_SHARE)
 
-        _write_output(fallacy_heatmap_svg(sweep, len(sweep.theta), len(sweep.theta_a)), args.svg)
-    return 0
+    def upper(fh) -> None:  # the rows from split on, then the SVG
+        _write_sweep_rows(fh, sweep, split, rows)
+        fh.flush()
+        if args.svg is not None:
+            from .heatmap import fallacy_heatmap_blocks
+
+            with open(args.svg, "w", newline="") as svg:
+                svg.writelines(fallacy_heatmap_blocks(sweep, rows, len(sweep.theta_a)))
+
+    with open(args.out, "w", newline="") as out:
+        out.write(header + "\n")
+        if split == rows:  # one block: no worker
+            _write_sweep_rows(out, sweep, 0, rows)
+            upper(out)  # no rows are left: only the SVG
+            return 0
+        with _spill_file(args.out) as spill:
+            pid = _fork(lambda: upper(spill))
+            try:
+                _write_sweep_rows(out, sweep, 0, split)
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            spill.seek(0)
+            shutil.copyfileobj(spill, out)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise _CliError(f"sweep worker ended by signal {-code}", 3)
+    return code
+
+
+def _spill_file(out_path: str):
+    """An unnamed temporary text file beside ``out_path``, where the upper
+    rows fit whenever the whole CSV does; in the default temporary directory
+    when that directory takes no new file (``--out /dev/stdout``)."""
+    try:
+        return tempfile.TemporaryFile(
+            "w+", newline="", dir=os.path.dirname(os.path.abspath(out_path))
+        )
+    except OSError:
+        return tempfile.TemporaryFile("w+", newline="")
+
+
+def _write_sweep_rows(fh, sweep: SweepResult, lo: int, hi: int) -> None:
+    fh.writelines(block + "\n" for block in _sweep_rows(sweep, lo, hi))
+
+
+def _fork(work) -> int:
+    """Run ``work()`` in one forked worker and return the worker's pid.
+
+    The worker never returns to its caller's code: it leaves by ``os._exit``
+    with the code that ``main`` gives the outcome, after printing the same
+    diagnostic (a traceback, and 1, for an unexpected exception).
+    """
+    sys.stderr.flush()  # or the worker would print the pending text again
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        work()
+        code = 0
+    except _ERRORS as exc:
+        code = _report(exc)
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def cmd_simulate(args) -> int:
@@ -346,6 +446,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_ERRORS = (_CliError, dsl.ExperimentSyntaxError, OSError, QOpinionError, MemoryError)
+
+
+def _report(exc: Exception) -> int:
+    """Print an error of ``_ERRORS`` to stderr, one line per diagnostic, and
+    return its exit code."""
+    if isinstance(exc, dsl.ExperimentSyntaxError):
+        for err in exc.errors:
+            print(f"{err}", file=sys.stderr)
+        return 2
+    if isinstance(exc, MemoryError):
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
+    print(str(exc), file=sys.stderr)
+    if isinstance(exc, _CliError):
+        return exc.code
+    return 1 if isinstance(exc, OSError) else 3
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -354,22 +473,8 @@ def main(argv=None) -> int:
         )
         commands = {"run": cmd_run, "sweep": cmd_sweep, "simulate": cmd_simulate}
         return commands[args.command](args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except dsl.ExperimentSyntaxError as exc:
-        for err in exc.errors:
-            print(f"{err}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except QOpinionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 3
+    except _ERRORS as exc:
+        return _report(exc)
 
 
 def entry() -> None:  # console-script hook

@@ -6,6 +6,7 @@ point, plus a legend) is stable, exact pixel output is not pinned.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from xml.sax.saxutils import escape
 
 from .analysis import SweepResult
@@ -27,6 +28,15 @@ _LEGEND = [
 
 def fallacy_heatmap_svg(sweep: SweepResult, n_theta: int, n_theta_a: int) -> str:
     """Render the row-major sweep raster as an SVG document string."""
+    return "".join(fallacy_heatmap_blocks(sweep, n_theta, n_theta_a))
+
+
+def fallacy_heatmap_blocks(
+    sweep: SweepResult, n_theta: int, n_theta_a: int
+) -> Iterator[str]:
+    """The document of :func:`fallacy_heatmap_svg` in pieces of whole lines:
+    the preamble, one piece per theta row, then the legend, so a writer
+    holds at most one row of it at a time."""
     if len(sweep) != n_theta * n_theta_a:
         raise ValueError(
             f"expected {n_theta * n_theta_a} cells, got {len(sweep)}"
@@ -34,28 +44,27 @@ def fallacy_heatmap_svg(sweep: SweepResult, n_theta: int, n_theta_a: int) -> str
     legend_h = 18 * len(_LEGEND) + 10
     width = n_theta_a * _CELL_PX + 20
     height = n_theta * _CELL_PX + legend_h + 20
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'<text x="10" y="12" font-size="10">fallacy map '
-        f"(rows: theta, cols: theta_a)</text>",
-    ]
-    pairs = zip(sweep.fallacy_b.ravel().tolist(), sweep.fallacy_a.ravel().tolist())
-    fills = [_COLORS[pair] for pair in pairs]
+        f"(rows: theta, cols: theta_a)</text>\n"
+    )
+    fallacy_b, fallacy_a = sweep.fallacy_b.ravel(), sweep.fallacy_a.ravel()
     heads = [f'<rect class="cell" x="{10 + col * _CELL_PX}" y="' for col in range(n_theta_a)]
     for row in range(n_theta):
         tail = f'{16 + row * _CELL_PX}" width="{_CELL_PX}" height="{_CELL_PX}" fill="'
-        row_fills = fills[row * n_theta_a:(row + 1) * n_theta_a]
-        parts.extend(f'{head}{tail}{fill}"/>' for head, fill in zip(heads, row_fills))
+        cells = slice(row * n_theta_a, (row + 1) * n_theta_a)
+        pairs = zip(fallacy_b[cells].tolist(), fallacy_a[cells].tolist())
+        yield "".join(
+            f'{head}{tail}{_COLORS[pair]}"/>\n' for head, pair in zip(heads, pairs)
+        )
     y0 = 16 + n_theta * _CELL_PX + 12
     for i, (flags, label) in enumerate(_LEGEND):
         y = y0 + i * 18
-        parts.append(
+        yield (
             f'<rect class="legend" x="10" y="{y}" width="12" height="12" '
-            f'fill="{_COLORS[flags]}"/>'
+            f'fill="{_COLORS[flags]}"/>\n'
+            f'<text x="28" y="{y + 10}" font-size="10">{escape(label)}</text>\n'
         )
-        parts.append(
-            f'<text x="28" y="{y + 10}" font-size="10">{escape(label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>\n"
