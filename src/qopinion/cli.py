@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import sys
 import tempfile
 from collections.abc import Iterator
@@ -352,40 +353,55 @@ def cmd_sweep(args) -> int:
     than one block is written by two processes.  This one writes the header
     and the lower theta rows; one forked worker writes the upper rows to an
     unnamed file next to ``--out``, then the SVG.  The worker's file is
-    appended once it has exited.  A failing worker prints its own diagnostic
-    and the command exits with its code; the CSV is still whole when only
-    the SVG failed, since the worker writes its rows first.  The worker runs
-    only Python formatting and element-wise numpy, never a BLAS routine, so
-    the BLAS thread that the fork does not copy is never missed.
+    appended once the worker has exited, and only if it wrote all its rows.
+    When only the worker fails, it prints its own diagnostic and the command
+    exits with its code; the CSV is still whole when only the SVG failed,
+    since the worker writes its rows first.  When this process fails, it
+    ends the worker before reporting.  A failed sweep may leave a partial
+    ``--out`` or ``--svg``.  The worker runs only Python formatting and
+    element-wise numpy, never a BLAS routine, so the BLAS thread that the
+    fork does not copy is never missed.
     """
     header, runner = _TASKS["sweep"]
     sweep = runner(vars(args), None)
     rows = len(sweep.theta)
     split = rows if rows <= _CHUNK_ROWS else rows - int(rows * _WORKER_SHARE)
 
-    def upper(fh) -> None:  # the rows from split on, then the SVG
-        _write_sweep_rows(fh, sweep, split, rows)
-        fh.flush()
+    def write_svg() -> None:
         if args.svg is not None:
             from .heatmap import fallacy_heatmap_blocks
 
             with open(args.svg, "w", newline="") as svg:
                 svg.writelines(fallacy_heatmap_blocks(sweep, rows, len(sweep.theta_a)))
 
+    def upper(spill, done: int) -> None:  # the rows from split on, then the SVG
+        _write_sweep_rows(spill, sweep, split, rows)
+        spill.flush()
+        os.write(done, b"\n")  # all the rows are in the file
+        write_svg()
+
     with open(args.out, "w", newline="") as out:
         out.write(header + "\n")
         if split == rows:  # one block: no worker
             _write_sweep_rows(out, sweep, 0, rows)
-            upper(out)  # no rows are left: only the SVG
+            write_svg()
             return 0
         with _spill_file(args.out) as spill:
-            pid = _fork(lambda: upper(spill))
+            ready, done = os.pipe()
+            pid = _fork(lambda: upper(spill, done))
+            os.close(done)
             try:
                 _write_sweep_rows(out, sweep, 0, split)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)  # the command fails: one diagnostic
+                raise
             finally:
                 status = os.waitpid(pid, 0)[1]
-            spill.seek(0)
-            shutil.copyfileobj(spill, out)
+                with open(ready, "rb", buffering=0) as pipe:
+                    whole = pipe.read(1)
+            if whole:
+                spill.seek(0)
+                shutil.copyfileobj(spill, out)
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
         raise _CliError(f"sweep worker ended by signal {-code}", 3)
@@ -421,6 +437,7 @@ def _fork(work) -> int:
         return pid
     code = 1
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
         work()
         code = 0
     except _ERRORS as exc:

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,54 @@ def test_out_of_memory_on_either_side_exits_3_with_one_line(tmp_path, monkeypatc
     assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
     out, err = capfd.readouterr()
     assert (out, err) == ("", "out of memory: injected\n")
+    _assert_no_child_left()
+
+
+def test_a_worker_failing_midway_appends_none_of_its_rows(tmp_path, monkeypatch, capfd):
+    # The worker writes one block of its rows, then runs out of memory: the
+    # CSV keeps the header and this process's rows, and no partial tail.
+    parent, rows = os.getpid(), cli._sweep_rows
+
+    def one_block_then_fail(sweep, lo, hi):
+        blocks = rows(sweep, lo, hi)
+        yield next(blocks)
+        if os.getpid() != parent:
+            raise MemoryError("injected")
+        yield from blocks
+
+    monkeypatch.setattr(cli, "_sweep_rows", one_block_then_fail)
+    theta, theta_a, n = "0.01:3.13:40", "0.2:2.9:4", 40
+    assert _sweep(tmp_path, theta, theta_a) == 3
+    assert capfd.readouterr().err == "out of memory: injected\n"
+    split = n - int(n * cli._WORKER_SHARE)
+    lines = _reference(theta, theta_a, 0.0)[0].splitlines(keepends=True)
+    assert (tmp_path / "sweep.csv").read_bytes() == b"".join(lines[: 1 + split * 4])
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_ends_the_worker_first(tmp_path, monkeypatch, capfd):
+    parent, rows = os.getpid(), cli._sweep_rows
+
+    def patched(sweep, lo, hi):
+        if os.getpid() == parent:
+            raise MemoryError("injected")
+        time.sleep(60)  # a worker left to finish would hold the command here
+        return rows(sweep, lo, hi)
+
+    monkeypatch.setattr(cli, "_sweep_rows", patched)
+    start = time.monotonic()
+    assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
+    assert time.monotonic() - start < 30
+    assert capfd.readouterr().err == "out of memory: injected\n"
+    _assert_no_child_left()
+
+
+def test_the_worker_leaves_ctrl_c_to_the_command(tmp_path, monkeypatch, capfd):
+    _fail_in(monkeypatch, "worker", lambda: os.kill(os.getpid(), signal.SIGINT))
+    theta, theta_a = "0.01:3.13:40", "0.2:2.9:4"
+    assert _sweep(tmp_path, theta, theta_a) == 0
+    assert capfd.readouterr().err == ""
+    assert (tmp_path / "sweep.csv").read_bytes() == _reference(theta, theta_a, 0.0)[0]
     _assert_no_child_left()
 
 
