@@ -33,10 +33,10 @@ from .states import pure_from_angles
 class SweepResult(FallacyReport):
     """Fallacy raster over (theta, theta_a): a :class:`FallacyReport` of arrays.
 
-    Each report field is an array of shape ``(len(theta), len(theta_a))``
-    (``margins`` a tuple of four), and cell (i, k) equals the report for
-    ``theta[i]`` and ``theta_a[k]``: row i holds ``theta[i]``, so flattening
-    is row-major in theta.  ``regime`` holds one class per theta row.
+    Each report field is an array of shape ``(len(theta), len(theta_a))``,
+    and cell (i, k) equals the report for ``theta[i]`` and ``theta_a[k]``:
+    row i holds ``theta[i]``, so flattening is row-major in theta.
+    ``regime`` holds one class per theta row.
     """
 
     theta: np.ndarray
@@ -180,7 +180,7 @@ def uncertainty_sum_minimum(
     vb = eigenvectors_in_reference(b)[1]
     theta_s = np.linspace(0.0, math.pi, grid_steps, endpoint=False)
     phi_s = np.linspace(0.0, 2.0 * math.pi, grid_steps, endpoint=False)
-    amp0 = np.cos(theta_s)[:, None] * np.ones_like(phi_s)[None, :]
+    amp0 = np.cos(theta_s)[:, None]  # the same for every phi_s
     amp1 = np.sin(theta_s)[:, None] * np.exp(1j * phi_s)[None, :]
 
     def p1(v):
@@ -190,4 +190,7 @@ def uncertainty_sum_minimum(
     pa, pb = p1(va), p1(vb)
     var_sum = pa * (1.0 - pa) + pb * (1.0 - pb)
     idx = np.unravel_index(np.argmin(var_sum), var_sum.shape)
-    return float(var_sum[idx]), (float(theta_s[idx[0]]), float(phi_s[idx[1]]))
+    # Rounding can leave a zero variance sum a few ulps below 0; the argmin
+    # is taken before the clamp, so the reported state does not move.
+    minimum = max(float(var_sum[idx]), 0.0)
+    return minimum, (float(theta_s[idx[0]]), float(phi_s[idx[1]]))

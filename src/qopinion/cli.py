@@ -46,9 +46,9 @@ if TYPE_CHECKING:
     from .analysis import SweepResult
     from .population import PopulationSpec
 
-# The columns shared by the fallacy and sweep CSVs: a FallacyReport's fields
-# but its margins: six values, then four flags.
-_FALLACY_FIELDS = [f.name for f in fields(FallacyReport) if f.name != "margins"]
+# The columns shared by the fallacy and sweep CSVs: a FallacyReport's fields,
+# six values, then four flags.
+_FALLACY_FIELDS = [f.name for f in fields(FallacyReport)]
 SWEEP_HEADER = ",".join(["theta", "theta_a", "phi", *_FALLACY_FIELDS, "regime"])
 
 
@@ -165,14 +165,6 @@ def _sweep_rows(sweep: SweepResult, lo: int, hi: int) -> Iterator[str]:
         yield "\n".join(lines)
 
 
-def _csv_lines(header: str, result) -> list[str]:
-    """The header, then the rows: a sweep's raster (a block of rows per item)
-    or one line per value tuple."""
-    if isinstance(result, FallacyReport):  # only a sweep returns one
-        return [header, *_sweep_rows(result, 0, len(result.theta))]
-    return [header, *(",".join(map(_cell, row)) for row in result)]
-
-
 def _run_fallacy(args: dict, rt: Runtime):
     state, (a, b) = args["state"], args["pair"]
     rep = fallacy_report(
@@ -256,14 +248,21 @@ def execute_tasks(spec: dsl.ExperimentSpec, seed=None, agents=None) -> str:
     """
     rt = build_runtime(spec)
     overrides = {k: v for k, v in (("seed", seed), ("agents", agents)) if v is not None}
-    sections: list[str] = []
+    # Every line, a sweep's in blocks of rows, joined once, so a raster's text
+    # is held only as blocks and as the result.  The empty last line ends it.
+    lines: list[str] = []
     for idx, task in enumerate(spec.tasks):
         header, runner = _TASKS[task.kind]
         args = dict(task.args)
         args.update((k, v) for k, v in overrides.items() if k in args)
-        lines = _csv_lines(header, runner(args, rt))
-        sections.append(f"# task {idx} {task.kind}\n" + "\n".join(lines))
-    return "\n".join(sections) + ("\n" if sections else "")
+        result = runner(args, rt)
+        lines += (f"# task {idx} {task.kind}", header)
+        if isinstance(result, FallacyReport):  # only a sweep returns one
+            lines += _sweep_rows(result, 0, len(result.theta))
+        else:
+            lines += (",".join(map(_cell, row)) for row in result)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _write_output(text: str, out_path) -> None:

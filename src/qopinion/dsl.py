@@ -44,7 +44,6 @@ class ParseError:
     line: int
     column: int
     message: str
-    snippet: str
 
     def __str__(self) -> str:
         return f"line {self.line}, col {self.column}: {self.message}"
@@ -217,8 +216,8 @@ _NUMERIC = {"float": parse_number, "int": parse_int, "range": parse_range}
 class _Parser:
     def __init__(self) -> None:
         self.errors: list[ParseError] = []
-        # Number and raw text of the line being read; every diagnostic cites them.
-        self.line_no, self.snippet = 0, ""
+        # Number of the line being read; every diagnostic cites it.
+        self.line_no = 0
         self.questions: list[QuestionDecl] = []
         self.states: list[PureStateDecl | MixedStateDecl] = []
         self.populations: list[PopulationDecl] = []
@@ -226,7 +225,7 @@ class _Parser:
         self._names: dict[str, set[str]] = {k: set() for k in ("question", "state", "population")}
 
     def fail(self, col: int, message: str):
-        self.errors.append(ParseError(self.line_no, col, message, self.snippet))
+        self.errors.append(ParseError(self.line_no, col, message))
         raise _LineErrors()
 
     def read(self, parse, tok: str, col: int):
@@ -373,8 +372,8 @@ def parse(text: str) -> ExperimentSpec:
         "population": p.parse_population,
         "task": p.parse_task,
     }
-    for p.line_no, p.snippet in enumerate(_LINE_END_RE.split(text), start=1):
-        body = p.snippet.split("#", 1)[0]
+    for p.line_no, line in enumerate(_LINE_END_RE.split(text), start=1):
+        body = line.split("#", 1)[0]
         toks = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
         if not toks:
             continue

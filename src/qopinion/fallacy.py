@@ -64,11 +64,7 @@ class FallacyReport:
     basis and P(a1) through b's, each as classical part plus interference,
     and the direct and reverse flags on each side.
 
-    The fields, but for ``margins``, are the fallacy columns of the CLI's
-    CSV, in order.  With thresholds t_b = P(a1) P(b1|a1) and t_a = P(b1)
-    P(a1|b1), ``margins`` holds (t_b - P(b1), t_a - P(a1), P(b1) - t_b,
-    P(a1) - t_a): positive first-pair entries point toward the direct
-    fallacy, positive second-pair entries toward the reverse side.
+    The fields are the fallacy columns of the CLI's CSV, in order.
     """
 
     p_a1: float
@@ -81,7 +77,6 @@ class FallacyReport:
     fallacy_a: bool
     reverse_b: bool
     reverse_a: bool
-    margins: tuple[float, float, float, float]
 
 
 class RegimeClass(enum.Enum):
@@ -170,7 +165,6 @@ def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> dict:
         fallacy_a=p_a1 < thr_a - FALLACY_GUARD,
         reverse_b=(p_b1 > thr_b + FALLACY_GUARD) & (interference_b > 0.0),
         reverse_a=(p_a1 > thr_a + FALLACY_GUARD) & (interference_a > 0.0),
-        margins=(thr_b - p_b1, thr_a - p_a1, p_b1 - thr_b, p_a1 - thr_a),
     )
 
 

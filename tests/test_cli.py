@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from qopinion.cli import SWEEP_HEADER, main
+import qopinion.analysis  # noqa: F401 - numpy's import is not a run's to trace
+from qopinion import FallacyReport, dsl
+from qopinion.cli import SWEEP_HEADER, execute_tasks, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,6 +36,31 @@ def test_run_emits_fallacy_section(tmp_path):
     assert float(fields[4]) == pytest.approx(0.8268, abs=1e-3)
     assert fields[9] == "1"  # fallacy_b
     assert fields[10] == "0"  # fallacy_a
+
+
+def test_fallacy_columns_are_the_report_fields():
+    names = [f.name for f in dataclasses.fields(FallacyReport)]
+    assert names == [
+        "p_a1", "p_b1", "classical_b1", "interference_b1", "classical_a1",
+        "interference_a1", "fallacy_b", "fallacy_a", "reverse_b", "reverse_a",
+    ]
+    assert SWEEP_HEADER == ",".join(["theta", "theta_a", "phi", *names, "regime"])
+
+
+def test_run_holds_a_sweep_text_about_twice():
+    # The rows as blocks, then the joined text: any further copy of the text
+    # would push the peak to three times its length.
+    spec = dsl.parse(
+        "question a\nquestion b from a theta=0.2\n"
+        "task sweep pair=a,b theta=0.01:3.13:256 theta_a=0.01:3.13:256 phi=0.3\n"
+    )
+    tracemalloc.start()
+    try:
+        text = execute_tasks(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 def test_run_defaults_to_stdout():

@@ -175,7 +175,7 @@ def test_injected_errors_report_correct_line(path):
 
 
 def test_parse_error_is_frozen_value():
-    err = ParseError(3, 7, "boom", "snippet")
+    err = ParseError(3, 7, "boom")
     assert str(err) == "line 3, col 7: boom"
 
 
@@ -268,7 +268,7 @@ def test_diagnostic_cites_the_raw_line_and_token(bad, token, message):
     with pytest.raises(ExperimentSyntaxError) as info:
         parse(text)
     (err,) = info.value.errors
-    assert err == ParseError(4, bad.index(token) + 1, message, bad)
+    assert err == ParseError(4, bad.index(token) + 1, message)
 
 
 @pytest.mark.parametrize(
@@ -278,7 +278,7 @@ def test_p1_out_of_range_points_at_its_value(line):
     with pytest.raises(ExperimentSyntaxError) as info:
         parse("question a\n" + line + "\n")
     (err,) = info.value.errors
-    assert err == ParseError(2, line.index("-0.25") + 1, "p1 must lie in [0, 1], got -0.25", line)
+    assert err == ParseError(2, line.index("-0.25") + 1, "p1 must lie in [0, 1], got -0.25")
 
 
 # Characters that str.splitlines() breaks at but text-mode reading does not;
@@ -297,7 +297,7 @@ def test_only_newlines_end_a_line(sep):
     with pytest.raises(ExperimentSyntaxError) as info:
         parse(good + bad + "\n")
     (err,) = info.value.errors
-    assert err == ParseError(3, bad.index("zz") + 1, 'unresolved reference "zz"', bad)
+    assert err == ParseError(3, bad.index("zz") + 1, 'unresolved reference "zz"')
 
 
 def test_separator_inside_a_line_is_not_a_new_directive():
@@ -315,4 +315,4 @@ def test_text_mode_line_ends_count_once(end):
     with pytest.raises(ExperimentSyntaxError) as info:
         parse(text)
     (err,) = info.value.errors
-    assert err == ParseError(3, bad.index("zz") + 1, 'unresolved reference "zz"', bad)
+    assert err == ParseError(3, bad.index("zz") + 1, 'unresolved reference "zz"')

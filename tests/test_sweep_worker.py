@@ -32,7 +32,7 @@ def _reference(theta: str, theta_a: str, phi: float) -> tuple[bytes, bytes]:
     grids = [GridRange(*map(float, axis.split(":")[:2]), int(axis.split(":")[2]))
              for axis in (theta, theta_a)]
     sweep = sweep_fallacy_map(*grids, phi)
-    csv = "\n".join(cli._csv_lines(cli.SWEEP_HEADER, sweep)) + "\n"
+    csv = "\n".join([cli.SWEEP_HEADER, *cli._sweep_rows(sweep, 0, grids[0].steps), ""])
     svg = fallacy_heatmap_svg(sweep, grids[0].steps, grids[1].steps)
     return csv.encode(), svg.encode()
 

@@ -15,7 +15,9 @@ later passes, for one, report a higher ``peak_rss_mb`` than its first.
 FILE gets T, and per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's values, median and quartiles and the number of pairs the
 change won (ties count for neither), failed/attempted invocations per
-side, the traced per-layer metrics and the environment block.
+side, the traced per-layer metrics and the environment block.  It also
+gets the lines of ``src/`` that the change adds and removes against REV,
+and the net count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -55,16 +58,29 @@ def extract(treeish: str, name: str) -> Path:
     return tree
 
 
-def snapshot() -> Path:
-    """A fresh copy of the working tree's files that git does not ignore,
-    staged through a throwaway index so the real one is left alone."""
+def worktree() -> str:
+    """The id of a git tree of the working tree's files that git does not
+    ignore, staged through a throwaway index so the real one is left alone."""
     with tempfile.TemporaryDirectory() as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
         subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
-        tree_id = subprocess.run(
+        return subprocess.run(
             ["git", "write-tree"], cwd=ROOT, env=env, capture_output=True, text=True, check=True
         ).stdout.strip()
-    return extract(tree_id, "change")
+
+
+def snapshot() -> Path:
+    """A fresh copy of :func:`worktree`'s files."""
+    return extract(worktree(), "change")
+
+
+def line_counts(numstat: str) -> dict:
+    """Lines ``added`` and ``removed`` in ``git diff --numstat`` output, and
+    their ``net`` difference.  A binary file, listed as "-", counts none."""
+    rows = re.findall(r"^(\d+)\t(\d+)\t", numstat, re.MULTILINE)
+    added = sum(int(a) for a, _ in rows)
+    removed = sum(int(r) for _, r in rows)
+    return {"added": added, "removed": removed, "net": added - removed}
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -114,6 +130,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     trees = {"base": extract(commit, f"base-{commit[:12]}"), "change": snapshot()}
+    src_lines = line_counts(_git("diff", "--numstat", commit, worktree(), "--", "src"))
     runs = {w: {"base": [], "change": []} for w in workloads}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -134,6 +151,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "run_seconds": seconds,
         "seeds": [FIRST_SEED + i for i in range(args.pairs)],
+        "src_lines": src_lines,
         "workloads": {
             w: {
                 "failed": {
