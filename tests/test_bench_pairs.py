@@ -11,6 +11,9 @@ _SPEC = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
+SPEC = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+
 
 def _runs(base: dict, change: dict) -> dict:
     """Per-side run records, as ``perfbench/run.py`` prints them, from
@@ -109,19 +112,19 @@ def test_bench_runs_perfbench_for_the_given_seconds(tmp_path, monkeypatch):
     )]
 
 
-def test_every_run_lasts_the_benchmark_run_seconds(tmp_path, monkeypatch):
-    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
+def _main_with_stub_runs(tmp_path, monkeypatch) -> tuple[dict, list[float]]:
+    """The summary that ``main`` writes for 2 pairs of stub perfbench runs,
+    each reporting 1.0 for every metric, and the seconds each run was given."""
     record = tmp_path / "change" / ".bench_build" / "perfbench"
     record.mkdir(parents=True)
-    (record / f"{workloads[0]}-seed{bench_pairs.FIRST_SEED}-trace0.json").write_text(
-        '{"environment": {}}'
+    (record / f"{WORKLOADS[0]}-seed{bench_pairs.FIRST_SEED}-trace0.json").write_text(
+        '{"environment": {"python": "3"}}'
     )
     seconds = []
 
     def bench(tree, workload, seed, trace, run_seconds):
         seconds.append(run_seconds)
-        names = [m["name"] for m in spec["end_to_end"]]
+        names = [m["name"] for m in SPEC["end_to_end"]]
         return {"failed": 0, "attempted": 1, "metrics": {n: {"value": 1.0} for n in names}}
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
@@ -130,6 +133,19 @@ def test_every_run_lasts_the_benchmark_run_seconds(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--base", "HEAD", "--pairs", "2", "--out", str(out)]) == 0
+    return json.loads(out.read_text()), seconds
+
+
+def test_every_run_lasts_the_benchmark_run_seconds(tmp_path, monkeypatch):
+    result, seconds = _main_with_stub_runs(tmp_path, monkeypatch)
     # 2 pairs x 2 sides per workload, then one traced pass per side.
-    assert seconds == [spec["run_seconds"]] * (4 * len(workloads) + 2)
-    assert json.loads(out.read_text())["run_seconds"] == spec["run_seconds"]
+    assert seconds == [SPEC["run_seconds"]] * (4 * len(WORKLOADS) + 2)
+    assert result["run_seconds"] == SPEC["run_seconds"]
+
+
+def test_python_settings_are_recorded_as_set(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    result, _ = _main_with_stub_runs(tmp_path, monkeypatch)
+    assert result["python_env"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": None}
+    assert result["environment"] == {"python": "3"}

@@ -1,15 +1,17 @@
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 
 import qopinion.analysis  # noqa: F401 - numpy's import is not a run's to trace
-from qopinion import FallacyReport, dsl
+from qopinion import FallacyReport, dsl, heatmap
 from qopinion.cli import SWEEP_HEADER, execute_tasks, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,6 +25,20 @@ def _run(argv):
         [sys.executable, "-m", "qopinion", *argv], capture_output=True, text=True
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _buffered_env() -> dict:
+    """This environment without ``PYTHONUNBUFFERED``: a child's stdout to a
+    pipe is then block-buffered, so what it writes waits for a flush."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _piped_stdout(argv) -> bytes:
+    proc = subprocess.run(
+        [sys.executable, "-m", "qopinion", *argv], capture_output=True, env=_buffered_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_run_emits_fallacy_section(tmp_path):
@@ -81,6 +97,36 @@ def test_run_reproduces_golden_csv_bytes(tmp_path, qx):
     out = tmp_path / "out.csv"
     assert main(["run", str(qx), "--out", str(out)]) == 0
     assert out.read_bytes() == qx.with_suffix(".csv").read_bytes()
+
+
+# The command ends its process without the interpreter's final flush, so
+# main() flushes stdout itself: a buffered CSV must reach the pipe whole.
+@pytest.mark.parametrize("qx", sorted(GOLDEN.glob("*.qx")), ids=lambda p: p.stem)
+def test_run_to_piped_stdout_loses_no_output(qx):
+    assert _piped_stdout(["run", str(qx)]) == qx.with_suffix(".csv").read_bytes()
+
+
+def test_simulate_to_piped_stdout_loses_no_output(tmp_path):
+    argv = ["simulate", str(SIMULATE), "--agents", "5000", "--seed", "3"]
+    out = tmp_path / "sim.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _piped_stdout(argv) == out.read_bytes()
+
+
+def test_closed_stdout_pipe_exits_1_with_one_line():
+    # The reader is gone before the command starts; a buffered stdout first
+    # fails when it is flushed.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qopinion", "run", str(BASIC)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_buffered_env(),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["[Errno 32] Broken pipe"]
 
 
 def test_usage_errors_exit_1():
@@ -170,6 +216,14 @@ def test_sweep_csv_and_svg(tmp_path):
     legend = [el for el in root.iter() if el.get("class") == "legend"]
     assert len(cells) == 12
     assert len(legend) == 4
+    labels = [label for _, label in heatmap._LEGEND]
+    assert [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")][1:] == labels
+
+
+def test_heatmap_legend_labels_need_no_escaping():
+    # The SVG writes them as they are.
+    for _, label in heatmap._LEGEND:
+        assert escape(label, {'"': "&quot;", "'": "&apos;"}) == label
 
 
 def test_sweep_accepts_pi_fraction_bounds(tmp_path):

@@ -107,6 +107,18 @@ def test_one_chunk_simulation_starts_no_thread_pool():
     assert not _loads("concurrent.futures", _run_file("simulate_population"))
 
 
+def test_heatmap_does_not_load_urllib():
+    # urllib.request brings http, email, ssl and socket, tens of milliseconds
+    # of import that a sweep's worker does not need; xml.sax.saxutils loads it.
+    render = (
+        "from qopinion import analysis, dsl, heatmap\n"
+        "grid = dsl.GridRange(0.1, 3.0, 4)\n"
+        "sweep = analysis.sweep_fallacy_map(grid, grid, 0.3)\n"
+        "heatmap.fallacy_heatmap_svg(sweep, 4, 4)"
+    )
+    assert not _loads("urllib.request", render)
+
+
 def test_all_is_the_pinned_set():
     assert len(qopinion.__all__) == len(ALL)
     assert set(qopinion.__all__) == ALL

@@ -17,7 +17,10 @@ each side's values, median and quartiles and the number of pairs the
 change won (ties count for neither), failed/attempted invocations per
 side, the traced per-layer metrics and the environment block.  It also
 gets the lines of ``src/`` that the change adds and removes against REV,
-and the net count.
+the net count, and the Python settings of ``PYTHON_ENV`` as this process
+had them (null when unset), which every child inherits: without a bytecode
+cache, for one, each child compiles qopinion anew, so ``setup_s`` depends
+on ``PYTHONDONTWRITEBYTECODE``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 41
+PYTHON_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED")
 
 
 def _git(*args: str) -> str:
@@ -168,6 +172,7 @@ def main(argv=None) -> int:
             for side, r in traced.items()
         },
         "environment": json.loads(env_record.read_text())["environment"],
+        "python_env": {name: os.environ.get(name) for name in PYTHON_ENV},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
