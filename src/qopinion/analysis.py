@@ -1,15 +1,16 @@
 """The fallacy raster and the uncertainty grid: the array half of the analysis.
 
-:func:`sweep_fallacy_map` runs the point-wise arithmetic of :mod:`fallacy`
-on whole batches of points, so each cell equals :func:`fallacy.fallacy_report`
-for its point bit for bit.  This module, :mod:`heatmap`, :mod:`population`
-and :mod:`kernels` are the package's numpy users; the scalar tasks never
-import them.
+:func:`sweep_blocks` runs the point-wise arithmetic of :mod:`fallacy` on
+blocks of theta rows, so each cell equals :func:`fallacy.fallacy_report`
+for its point bit for bit; :func:`sweep_fallacy_map` is its one block.
+This module, :mod:`heatmap`, :mod:`population` and :mod:`kernels` are the
+package's numpy users; the scalar tasks never import them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,39 +130,51 @@ def _reserve_raster(rows: int, cols: int) -> None:
 def sweep_fallacy_map(
     theta_grid: GridRange, theta_a_grid: GridRange, phi: float
 ) -> SweepResult:
-    """Rasterize fallacy structure over (theta, theta_a), row-major in theta.
+    """Rasterize fallacy structure over (theta, theta_a), row-major in theta:
+    the one block of :func:`sweep_blocks` that holds every theta row."""
+    rows = theta_grid.steps
+    return next(sweep_blocks(theta_grid, theta_a_grid, phi, 0, rows, rows))
+
+
+def sweep_blocks(
+    theta_grid: GridRange, theta_a_grid: GridRange, phi: float, lo: int, hi: int, rows: int
+) -> Iterator[SweepResult]:
+    """Theta rows ``lo`` to ``hi - 1`` of the fallacy raster, in order, as
+    :class:`SweepResult` blocks of at most ``rows`` rows, each computed when
+    it is taken.  The whole raster is reserved when this is called.
 
     Cell (i, k) prepares the real state with angle theta_a[k] and relates
     question b to the reference by (theta[i], phi); each theta row also gets
     its correlation regime.  The per-axis terms come from the scalar code,
-    once per axis value; the cells are then one batch through the arithmetic
-    of :func:`fallacy.fallacy_report`, so every cell equals the report for
-    its point.
+    once per axis value; each block's cells are then one batch through the
+    arithmetic of :func:`fallacy.fallacy_report`, so every cell equals the
+    report for its point.
     """
     _reserve_raster(theta_grid.steps, theta_a_grid.steps)
     reference = Question("a")
-    thetas, theta_as = theta_grid.values(), theta_a_grid.values()
+    thetas, theta_as = theta_grid.values()[lo:hi], theta_a_grid.values()
     states = [pure_from_angles(theta_a, 0.0) for theta_a in theta_as]
-    bs = [Question("b", BasisRelation(theta, phi)) for theta in thetas]
+    amp0 = _batch([s.amp0 for s in states], (1, -1))
+    amp1 = _batch([s.amp1 for s in states], (1, -1))
+    rotate_a = _rotation_terms(reference.relation_to_reference)
 
     def per_row(terms):  # one (n, 1) batch per term
         return [_batch(column, (-1, 1)) for column in zip(*terms)]
 
-    cells = _fallacy(
-        _batch([s.amp0 for s in states], (1, -1)),
-        _batch([s.amp1 for s in states], (1, -1)),
-        _rotation_terms(reference.relation_to_reference),
-        per_row([_rotation_terms(b.relation_to_reference) for b in bs]),
-        per_row([_relation_terms(relative_relation(reference, b)) for b in bs]),
-        per_row([_relation_terms(relative_relation(b, reference)) for b in bs]),
-    )
-    return SweepResult(
-        theta=np.array(thetas),
-        theta_a=np.array(theta_as),
-        phi=phi,
-        regime=tuple(classify_regime(theta) for theta in thetas),
-        **cells,
-    )
+    def block(values: list[float]) -> SweepResult:  # the given theta rows
+        bs = [Question("b", BasisRelation(theta, phi)) for theta in values]
+        cells = _fallacy(
+            amp0, amp1, rotate_a,
+            per_row([_rotation_terms(b.relation_to_reference) for b in bs]),
+            per_row([_relation_terms(relative_relation(reference, b)) for b in bs]),
+            per_row([_relation_terms(relative_relation(b, reference)) for b in bs]),
+        )
+        regime = tuple(classify_regime(theta) for theta in values)
+        return SweepResult(
+            theta=np.array(values), theta_a=np.array(theta_as), phi=phi, regime=regime, **cells
+        )
+
+    return map(block, (thetas[start:start + rows] for start in range(0, len(thetas), rows)))
 
 
 def uncertainty_sum_minimum(

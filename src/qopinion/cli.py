@@ -15,12 +15,12 @@ qopinion calls ``cli.main``, which returns the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import signal
 import sys
 import tempfile
-from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, NoReturn
 
@@ -80,6 +80,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _row(*values) -> str:
+    """One CSV line of ``values``."""
+    return ",".join(map(_cell, values))
+
+
 @dataclass
 class Runtime:
     questions: dict[str, Question]
@@ -135,39 +140,34 @@ def _require_pure(state, name: str) -> PureState:
 _FLAG_FIELDS = [",".join(f"{code:04b}") for code in range(16)]
 
 
-# Theta rows per block that a sweep formats and writes at a time.  A raster
-# of one block is written in process; a larger one in two spans by two
-# processes, and the forked worker takes this share of its theta rows: less
-# than half, since it also renders the SVG.
+# Theta rows per block that a sweep computes, formats and writes at a time.
+# A raster of one block is written in process; a larger one by two processes,
+# the lower half of its theta rows (rounded up) by the command itself.
 _CHUNK_ROWS = 16
-_WORKER_SHARE = 0.45
 
 
-def _sweep_rows(sweep: SweepResult, lo: int, hi: int) -> Iterator[str]:
-    """The CSV rows of theta rows ``lo`` to ``hi - 1``, row-major in theta:
-    one string of newline-separated rows per block of ``_CHUNK_ROWS``.
+def _sweep_rows(block: SweepResult) -> str:
+    """The CSV rows of a block of theta rows, row-major in theta and
+    newline-separated.
 
     The axis columns are formatted once per axis value, not once per row,
     and a cell's four flags once per code.
     """
-    theta_a = [_cell(x) for x in sweep.theta_a.tolist()]
-    columns = [getattr(sweep, name) for name in _FALLACY_FIELDS]
+    theta_a = [_cell(x) for x in block.theta_a.tolist()]
+    columns = [getattr(block, name) for name in _FALLACY_FIELDS]
     values, flags = columns[:-4], columns[-4:]
-    fmt = f",{_cell(sweep.phi)}" + ",%.17g" * len(values) + ",%s,"
-    for start in range(lo, hi, _CHUNK_ROWS):
-        block = slice(start, min(start + _CHUNK_ROWS, hi))
-        codes = sum(flag[block] * (8 >> k) for k, flag in enumerate(flags))
-        lines = []
-        rows = zip(sweep.theta[block].tolist(), codes.tolist())
-        for i, (theta, row_codes) in enumerate(rows, start):
-            head = f"{_cell(theta)},"
-            tail = fmt + sweep.regime[i].value
-            cells = zip(*(column[i].tolist() for column in values))
-            row_flags = [_FLAG_FIELDS[code] for code in row_codes]
-            lines.extend(
-                head + x + tail % (*v, f) for x, v, f in zip(theta_a, cells, row_flags)
-            )
-        yield "\n".join(lines)
+    fmt = f",{_cell(block.phi)}" + ",%.17g" * len(values) + ",%s,"
+    codes = sum(flag * (8 >> k) for k, flag in enumerate(flags))
+    lines = []
+    for i, (theta, row_codes) in enumerate(zip(block.theta.tolist(), codes.tolist())):
+        head = f"{_cell(theta)},"
+        tail = fmt + block.regime[i].value
+        cells = zip(*(column[i].tolist() for column in values))
+        row_flags = [_FLAG_FIELDS[code] for code in row_codes]
+        lines.extend(
+            head + x + tail % (*v, f) for x, v, f in zip(theta_a, cells, row_flags)
+        )
+    return "\n".join(lines)
 
 
 def _run_fallacy(args: dict, rt: Runtime):
@@ -175,7 +175,7 @@ def _run_fallacy(args: dict, rt: Runtime):
     rep = fallacy_report(
         _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
     )
-    return [(state, a, b, *(getattr(rep, name) for name in _FALLACY_FIELDS))]
+    return [_row(state, a, b, *(getattr(rep, name) for name in _FALLACY_FIELDS))]
 
 
 def _run_sequence(args: dict, rt: Runtime):
@@ -184,13 +184,15 @@ def _run_sequence(args: dict, rt: Runtime):
         raise ValidationError(f"sequence too long ({len(order)} questions)")
     rho = _as_density(rt.states[args["state"]])
     table = chain_table(rho, [rt.questions[name] for name in order], [(0, 1)] * len(order))
-    return [("".join(map(str, outcomes)), p) for outcomes, p in table]
+    return [_row("".join(map(str, outcomes)), p) for outcomes, p in table]
 
 
-def _run_sweep(args: dict, rt: Runtime) -> SweepResult:
-    from .analysis import sweep_fallacy_map
+def _run_sweep(args: dict, rt: Runtime):
+    from .analysis import sweep_blocks
 
-    return sweep_fallacy_map(args["theta"], args["theta_a"], args["phi"])
+    theta = args["theta"]
+    blocks = sweep_blocks(theta, args["theta_a"], args["phi"], 0, theta.steps, _CHUNK_ROWS)
+    return map(_sweep_rows, blocks)
 
 
 # The columns a simulate or underextension row takes from its result, after
@@ -209,7 +211,7 @@ def _run_simulate(args: dict, rt: Runtime):
         rt.populations[pop], rt.questions[a], rt.questions[b],
         args["agents"], args["seed"],
     )
-    return [(pop, a, b, t.n_agents, *(getattr(t, name) for name in _SIMULATE_FIELDS))]
+    return [_row(pop, a, b, t.n_agents, *(getattr(t, name) for name in _SIMULATE_FIELDS))]
 
 
 def _run_underextension(args: dict, rt: Runtime):
@@ -217,7 +219,7 @@ def _run_underextension(args: dict, rt: Runtime):
     est = underextension_estimate(
         _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
     )
-    return [(state, a, b, *(getattr(est, name) for name in _UNDEREXTENSION_FIELDS))]
+    return [_row(state, a, b, *(getattr(est, name) for name in _UNDEREXTENSION_FIELDS))]
 
 
 def _run_uncertainty(args: dict, rt: Runtime):
@@ -227,12 +229,12 @@ def _run_uncertainty(args: dict, rt: Runtime):
     minimum, (theta_s, phi_s) = uncertainty_sum_minimum(
         rt.questions[a], rt.questions[b], steps
     )
-    return [(a, b, steps, minimum, theta_s, phi_s)]
+    return [_row(a, b, steps, minimum, theta_s, phi_s)]
 
 
 # kind -> (CSV header, runner).  A runner takes the task's arguments, which
-# dsl._TASK_ARGS declares, and the runtime; it returns its rows as value
-# tuples, or a SweepResult.
+# dsl._TASK_ARGS declares, and the runtime; it returns its CSV lines, a
+# sweep's in blocks of newline-separated rows.
 _TASKS = {
     "fallacy": (",".join(["state", "a", "b", *_FALLACY_FIELDS]), _run_fallacy),
     "sequence": ("outcomes,probability", _run_sequence),
@@ -261,19 +263,21 @@ def execute_tasks(spec: dsl.ExperimentSpec, seed=None, agents=None) -> str:
         args = dict(task.args)
         args.update((k, v) for k, v in overrides.items() if k in args)
         result = runner(args, rt)
-        lines += (f"# task {idx} {task.kind}", header)
-        if isinstance(result, FallacyReport):  # only a sweep returns one
-            lines += _sweep_rows(result, 0, len(result.theta))
-        else:
-            lines += (",".join(map(_cell, row)) for row in result)
+        lines += (f"# task {idx} {task.kind}", header, *result)
     lines.append("")
     return "\n".join(lines)
 
 
 def _write_output(text: str, out_path) -> None:
     if out_path is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()  # entry() ends the process without a final flush
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # entry() ends the process without a final flush
+        except OSError:  # leave the exit flush no buffered bytes to fail on
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
     else:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
@@ -354,79 +358,72 @@ def cmd_sweep(args) -> int:
     Formatting the ``.17g`` floats is most of a sweep's time, and it runs in
     pure Python under the GIL: ``.17g`` has no faster form with the same
     bytes (``repr`` agrees with it on only about half of all values), and a
-    second thread would only take turns with this one.  So a raster of more
-    than one block is written by two processes.  This one writes the header
-    and the lower theta rows; one forked worker writes the upper rows to an
-    unnamed file next to ``--out``, then the SVG.  The worker's file is
-    appended once the worker has exited, and only if it wrote all its rows.
-    When only the worker fails, it prints its own diagnostic and the command
-    exits with its code; the CSV is still whole when only the SVG failed,
-    since the worker writes its rows first.  When this process fails, it
-    ends the worker before reporting.  A failed sweep may leave a partial
-    ``--out`` or ``--svg``.  The worker runs only Python formatting and
-    element-wise numpy, never a BLAS routine, so the BLAS thread that the
-    fork does not copy is never missed.
+    second thread would only take turns with this one.  So once the raster is
+    reserved and the outputs are opened, a raster of more than one block is
+    written by two processes, each over its own span of theta rows: compute a
+    block, write its CSV rows, write its SVG rows.  One forked worker writes
+    the upper rows and the SVG's legend to two unnamed files beside the
+    outputs, appended once it has exited with 0.  When only the worker fails,
+    it prints its own diagnostic and the command exits with its code; when
+    this process fails, it ends the worker before reporting.  A failed sweep
+    may leave a partial ``--out`` or ``--svg``.  The worker runs only Python
+    formatting and element-wise numpy, never a BLAS routine, so the BLAS
+    thread that the fork does not copy is never missed.
     """
-    header, runner = _TASKS["sweep"]
-    sweep = runner(vars(args), None)
-    rows = len(sweep.theta)
-    split = rows if rows <= _CHUNK_ROWS else rows - int(rows * _WORKER_SHARE)
+    from .analysis import sweep_blocks
+    from .heatmap import fallacy_heatmap_rows
 
-    def write_svg() -> None:
-        if args.svg is not None:
-            from .heatmap import fallacy_heatmap_blocks
+    rows = args.theta.steps
+    split = rows if rows <= _CHUNK_ROWS else rows - rows // 2
+    lower, upper = (
+        sweep_blocks(args.theta, args.theta_a, args.phi, lo, hi, _CHUNK_ROWS)
+        for lo, hi in ((0, split), (split, rows))
+    )
+    paths = [args.out] if args.svg is None else [args.out, args.svg]
 
-            with open(args.svg, "w", newline="") as svg:
-                svg.writelines(fallacy_heatmap_blocks(sweep, rows, len(sweep.theta_a)))
+    def write(blocks, lo: int, files) -> None:  # the CSV file, then the SVG file if any
+        for block in blocks:
+            files[0].write(_sweep_rows(block) + "\n")
+            if len(files) > 1:
+                files[1].writelines(fallacy_heatmap_rows(block, lo, rows))
+            lo += len(block.theta)
+        for fh in files:
+            fh.flush()
 
-    def upper(spill, done: int) -> None:  # the rows from split on, then the SVG
-        _write_sweep_rows(spill, sweep, split, rows)
-        spill.flush()
-        os.write(done, b"\n")  # all the rows are in the file
-        write_svg()
-
-    with open(args.out, "w", newline="") as out:
-        out.write(header + "\n")
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+        files[0].write(SWEEP_HEADER + "\n")
         if split == rows:  # one block: no worker
-            _write_sweep_rows(out, sweep, 0, rows)
-            write_svg()
+            write(lower, 0, files)
             return 0
-        with _spill_file(args.out) as spill:
-            ready, done = os.pipe()
-            pid = _fork(lambda: upper(spill, done))
-            os.close(done)
-            try:
-                _write_sweep_rows(out, sweep, 0, split)
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)  # the command fails: one diagnostic
-                raise
-            finally:
-                status = os.waitpid(pid, 0)[1]
-                with open(ready, "rb", buffering=0) as pipe:
-                    whole = pipe.read(1)
-            if whole:
+        spills = [stack.enter_context(_spill_file(path)) for path in paths]
+        pid = _fork(lambda: write(upper, split, spills))
+        try:
+            write(lower, 0, files)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)  # the command fails: one diagnostic
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code == 0:
+            for spill, fh in zip(spills, files):
                 spill.seek(0)
-                shutil.copyfileobj(spill, out)
-    code = os.waitstatus_to_exitcode(status)
+                shutil.copyfileobj(spill, fh)
     if code < 0:
         raise _CliError(f"sweep worker ended by signal {-code}", 3)
     return code
 
 
-def _spill_file(out_path: str):
-    """An unnamed temporary text file beside ``out_path``, where the upper
-    rows fit whenever the whole CSV does; in the default temporary directory
-    when that directory takes no new file (``--out /dev/stdout``)."""
+def _spill_file(path: str):
+    """An unnamed temporary text file beside ``path``, where the worker's
+    part fits whenever the whole output does; in the default temporary
+    directory when that directory takes no new file (``--out /dev/stdout``)."""
     try:
         return tempfile.TemporaryFile(
-            "w+", newline="", dir=os.path.dirname(os.path.abspath(out_path))
+            "w+", newline="", dir=os.path.dirname(os.path.abspath(path))
         )
     except OSError:
         return tempfile.TemporaryFile("w+", newline="")
-
-
-def _write_sweep_rows(fh, sweep: SweepResult, lo: int, hi: int) -> None:
-    fh.writelines(block + "\n" for block in _sweep_rows(sweep, lo, hi))
 
 
 def _fork(work) -> int:

@@ -29,43 +29,44 @@ _LEGEND = [
 
 def fallacy_heatmap_svg(sweep: SweepResult, n_theta: int, n_theta_a: int) -> str:
     """Render the row-major sweep raster as an SVG document string."""
-    return "".join(fallacy_heatmap_blocks(sweep, n_theta, n_theta_a))
-
-
-def fallacy_heatmap_blocks(
-    sweep: SweepResult, n_theta: int, n_theta_a: int
-) -> Iterator[str]:
-    """The document of :func:`fallacy_heatmap_svg` in pieces of whole lines:
-    the preamble, one piece per theta row, then the legend, so a writer
-    holds at most one row of it at a time."""
     if len(sweep) != n_theta * n_theta_a:
         raise ValueError(
             f"expected {n_theta * n_theta_a} cells, got {len(sweep)}"
         )
-    legend_h = 18 * len(_LEGEND) + 10
-    width = n_theta_a * _CELL_PX + 20
-    height = n_theta * _CELL_PX + legend_h + 20
-    yield (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
-        f'<text x="10" y="12" font-size="10">fallacy map '
-        f"(rows: theta, cols: theta_a)</text>\n"
-    )
-    fallacy_b, fallacy_a = sweep.fallacy_b.ravel(), sweep.fallacy_a.ravel()
+    return "".join(fallacy_heatmap_rows(sweep, 0, n_theta))
+
+
+def fallacy_heatmap_rows(block: SweepResult, lo: int, n_theta: int) -> Iterator[str]:
+    """The pieces of :func:`fallacy_heatmap_svg`'s document, one per theta
+    row, for a block whose first row is row ``lo`` of an ``n_theta``-row
+    raster: after the preamble if it starts the raster, before the legend if
+    it ends it.  A raster's blocks written in order give the whole document."""
+    n_rows, n_theta_a = block.fallacy_b.shape
+    if lo == 0:
+        legend_h = 18 * len(_LEGEND) + 10
+        width = n_theta_a * _CELL_PX + 20
+        height = n_theta * _CELL_PX + legend_h + 20
+        yield (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+            f'<text x="10" y="12" font-size="10">fallacy map '
+            f"(rows: theta, cols: theta_a)</text>\n"
+        )
     heads = [f'<rect class="cell" x="{10 + col * _CELL_PX}" y="' for col in range(n_theta_a)]
-    for row in range(n_theta):
+    rows = zip(block.fallacy_b.tolist(), block.fallacy_a.tolist())
+    for row, (fallacy_b, fallacy_a) in enumerate(rows, lo):
         tail = f'{16 + row * _CELL_PX}" width="{_CELL_PX}" height="{_CELL_PX}" fill="'
-        cells = slice(row * n_theta_a, (row + 1) * n_theta_a)
-        pairs = zip(fallacy_b[cells].tolist(), fallacy_a[cells].tolist())
+        pairs = zip(fallacy_b, fallacy_a)
         yield "".join(
             f'{head}{tail}{_COLORS[pair]}"/>\n' for head, pair in zip(heads, pairs)
         )
-    y0 = 16 + n_theta * _CELL_PX + 12
-    for i, (flags, label) in enumerate(_LEGEND):
-        y = y0 + i * 18
-        yield (
-            f'<rect class="legend" x="10" y="{y}" width="12" height="12" '
-            f'fill="{_COLORS[flags]}"/>\n'
-            f'<text x="28" y="{y + 10}" font-size="10">{label}</text>\n'
-        )
-    yield "</svg>\n"
+    if lo + n_rows == n_theta:
+        y0 = 16 + n_theta * _CELL_PX + 12
+        for i, (flags, label) in enumerate(_LEGEND):
+            y = y0 + i * 18
+            yield (
+                f'<rect class="legend" x="10" y="{y}" width="12" height="12" '
+                f'fill="{_COLORS[flags]}"/>\n'
+                f'<text x="28" y="{y + 10}" font-size="10">{label}</text>\n'
+            )
+        yield "</svg>\n"

@@ -28,7 +28,7 @@ from qopinion import (
     underextension_estimate,
     uncertainty_sum_minimum,
 )
-from qopinion.analysis import GridRange
+from qopinion.analysis import GridRange, sweep_blocks
 from qopinion import fallacy
 from qopinion.fallacy import FALLACY_GUARD
 from qopinion.oracle import brute_force_outcome_probability
@@ -211,6 +211,40 @@ def test_sweep_matches_scalar_report(theta_grid, theta_a_grid, phi):
         oracle_a = brute_force_outcome_probability(s, BasisRelation(0.0, 0.0), 1)
         assert abs(sweep.p_b1[cell] - oracle_b) <= 1e-12
         assert abs(sweep.p_a1[cell] - oracle_a) <= 1e-12
+
+
+# Exact angles (theta = 0, pi/4, pi/2, ...), where interference vanishes
+# and its zeros are signed, and three phases.
+BLOCK_GRIDS = [
+    (GridRange(0.0, math.pi, 21), GridRange(0.0, math.pi, 9), 0.0),
+    (GridRange(0.01, 3.13, 23), GridRange(0.2, 2.9, 7), 0.3),
+    (GridRange(-math.pi, math.pi, 17), GridRange(0.0, 2.0 * math.pi, 5), -math.pi / 2),
+]
+
+
+@pytest.mark.parametrize("theta_grid, theta_a_grid, phi", BLOCK_GRIDS)
+@pytest.mark.parametrize("rows", [1, 3, 16])
+@pytest.mark.parametrize("span", ["whole", "inner"])
+def test_sweep_blocks_are_the_raster_rows_bit_for_bit(theta_grid, theta_a_grid, phi, rows, span):
+    whole = sweep_fallacy_map(theta_grid, theta_a_grid, phi)
+    n = theta_grid.steps
+    lo, hi = (0, n) if span == "whole" else (5, n - 2)
+    start = lo
+    for block in sweep_blocks(theta_grid, theta_a_grid, phi, lo, hi, rows):
+        stop = start + len(block.theta)
+        assert len(block.theta) == min(rows, hi - start)
+        assert block.phi == phi
+        assert block.regime == whole.regime[start:stop]
+        for got, want in ((block.theta, whole.theta[start:stop]), (block.theta_a, whole.theta_a)):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for field in dataclasses.fields(FallacyReport):
+            got, want = getattr(block, field.name), getattr(whole, field.name)[start:stop]
+            assert got.dtype == want.dtype, field.name
+            if got.dtype == np.float64:  # as bits, so signed zeros count
+                got, want = got.view(np.uint64), want.view(np.uint64)
+            assert got.tolist() == want.tolist(), field.name
+        start = stop
+    assert start == hi
 
 
 def test_underextension_estimate_brackets():

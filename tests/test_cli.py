@@ -129,6 +129,23 @@ def test_closed_stdout_pipe_exits_1_with_one_line():
     assert proc.stderr.splitlines() == ["[Errno 32] Broken pipe"]
 
 
+def test_closed_stdout_pipe_in_process_exits_1_with_one_line():
+    # main() called in process, as embedding code calls it: the embedding
+    # interpreter's own exit flush must then find nothing left to fail on.
+    read, write = os.pipe()
+    os.close(read)
+    code = f"import sys\nfrom qopinion import cli\nsys.exit(cli.main(['run', {str(BASIC)!r}]))"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_buffered_env(),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["[Errno 32] Broken pipe"]
+
+
 def test_usage_errors_exit_1():
     code, _, err = _run(["sweep", "--theta", "0:1:4"])
     assert code == 1

@@ -1,0 +1,70 @@
+"""The summary that ``tools/sweep_pairs.py`` writes for a sweep's pairs."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))  # sweep_pairs imports bench_pairs as a sibling
+_SPEC = importlib.util.spec_from_file_location("sweep_pairs", TOOLS / "sweep_pairs.py")
+sweep_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sweep_pairs)
+
+
+def _run(wall, rss, csv="c", svg="s"):
+    return {"wall_s": wall, "max_rss_mb": rss, "csv": csv, "svg": svg}
+
+
+def test_summary_counts_lower_as_a_win_and_compares_the_bytes():
+    runs = {
+        "base": [_run(1.0, 140.0), _run(2.0, 142.0), _run(3.0, 141.0)],
+        "change": [_run(0.5, 43.0), _run(2.0, 44.0), _run(3.5, 43.5)],
+    }
+    out = sweep_pairs.summarise(runs, [13.0, 13.5, 13.0])
+    # wall_s: lower in pair 1, a tie in pair 2, higher in pair 3.
+    assert out["wall_s"]["change_wins"] == 1
+    assert out["max_rss_mb"]["change_wins"] == 3
+    assert out["wall_s"]["base"] == sweep_pairs.spread([1.0, 2.0, 3.0])
+    assert out["max_rss_mb"]["change"] == sweep_pairs.spread([43.0, 44.0, 43.5])
+    assert out["floor_rss_mb"] == sweep_pairs.spread([13.0, 13.5, 13.0])
+    assert out["same_bytes"] == {"csv": True, "svg": True}
+
+
+def test_one_differing_pair_marks_the_bytes_unequal():
+    runs = {
+        "base": [_run(1.0, 1.0), _run(1.0, 1.0)],
+        "change": [_run(1.0, 1.0), _run(1.0, 1.0, svg="other")],
+    }
+    assert sweep_pairs.summarise(runs, [1.0, 1.0])["same_bytes"] == {"csv": True, "svg": False}
+
+
+def test_main_alternates_the_sides_and_reads_the_floor_each_pair(tmp_path, monkeypatch):
+    calls = []
+
+    def sweep(tree, size, phi, out):
+        calls.append((tree.name, size, phi))
+        return _run(1.0 if tree.name == "base" else 0.9, 40.0)
+
+    def spawn(argv, env):
+        calls.append(tuple(argv))
+        return {"wall_s": 0.01, "max_rss_mb": 12.0}
+
+    monkeypatch.setattr(sweep_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(sweep_pairs, "sweep", sweep)
+    monkeypatch.setattr(sweep_pairs, "spawn", spawn)
+    monkeypatch.setattr(sweep_pairs, "extract", lambda treeish, name: tmp_path / "base")
+    monkeypatch.setattr(sweep_pairs, "snapshot", lambda: tmp_path / "change")
+    monkeypatch.setattr(sweep_pairs, "_git", lambda *args: "0" * 40)
+    out = tmp_path / "pairs.json"
+    argv = ["--base", "HEAD", "--size", "64", "--pairs", "2", "--phi", "0", "--out", str(out)]
+    assert sweep_pairs.main(argv) == 0
+    assert calls == [
+        ("-c", "pass"), ("base", 64, "0"), ("change", 64, "0"),
+        ("-c", "pass"), ("change", 64, "0"), ("base", 64, "0"),
+    ]
+    result = json.loads(out.read_text())
+    assert (result["size"], result["phi"], result["pairs"]) == (64, "0", 2)
+    assert result["wall_s"]["change_wins"] == 2
+    assert result["floor_rss_mb"]["median"] == 12.0
+    assert result["same_bytes"] == {"csv": True, "svg": True}

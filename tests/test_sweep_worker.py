@@ -1,8 +1,10 @@
 """`qopinion sweep` writes a raster of more than one block in two processes.
 
-The CLI writes the lower theta rows itself and one forked worker the upper
-rows and the SVG.  These tests hold the files to the bytes of the one-process
-formatter at every split point, check that the worker's failures end the
+The CLI computes and writes the lower theta rows itself and one forked
+worker the upper rows, each block's CSV rows and then its SVG rows.  These
+tests hold the files to the bytes of the one-process formatter at every
+split point, check that the outputs are opened before any work, that memory
+does not grow with the theta rows, that the worker's failures end the
 command with main's exit code and one diagnostic, and that no process
 outlives a sweep.  Tests that see the worker's stderr use ``capfd``: the
 worker writes to the file descriptor, which ``capsys`` does not capture.
@@ -14,12 +16,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from qopinion import cli
-from qopinion.analysis import sweep_fallacy_map
+from qopinion import analysis, cli
+from qopinion.analysis import sweep_blocks, sweep_fallacy_map
 from qopinion.dsl import GridRange
 from qopinion.heatmap import fallacy_heatmap_svg
 
@@ -32,7 +35,7 @@ def _reference(theta: str, theta_a: str, phi: float) -> tuple[bytes, bytes]:
     grids = [GridRange(*map(float, axis.split(":")[:2]), int(axis.split(":")[2]))
              for axis in (theta, theta_a)]
     sweep = sweep_fallacy_map(*grids, phi)
-    csv = "\n".join([cli.SWEEP_HEADER, *cli._sweep_rows(sweep, 0, grids[0].steps), ""])
+    csv = "\n".join([cli.SWEEP_HEADER, cli._sweep_rows(sweep), ""])
     svg = fallacy_heatmap_svg(sweep, grids[0].steps, grids[1].steps)
     return csv.encode(), svg.encode()
 
@@ -68,14 +71,16 @@ def test_sweep_files_match_the_one_process_bytes(tmp_path, theta, theta_a, phi):
 
 
 def test_row_blocks_do_not_depend_on_the_span():
-    sweep = sweep_fallacy_map(GridRange(0.01, 3.13, 2 * ONE_BLOCK + 3),
-                              GridRange(0.2, 2.9, 5), 0.3)
-    rows = len(sweep.theta)
-    whole = list(cli._sweep_rows(sweep, 0, rows))
-    assert len(whole) == 3  # two full blocks and one of three rows
-    one_by_one = [block for i in range(rows) for block in cli._sweep_rows(sweep, i, i + 1)]
-    assert "\n".join(one_by_one) == "\n".join(whole)
-    assert len("\n".join(whole).split("\n")) == rows * 5
+    grids = (GridRange(0.01, 3.13, 2 * ONE_BLOCK + 3), GridRange(0.2, 2.9, 5), 0.3)
+    rows = grids[0].steps
+    whole = cli._sweep_rows(sweep_fallacy_map(*grids))
+    blocks = [cli._sweep_rows(b) for b in sweep_blocks(*grids, 0, rows, ONE_BLOCK)]
+    assert len(blocks) == 3  # two full blocks and one of three rows
+    one_by_one = [
+        cli._sweep_rows(b) for i in range(rows) for b in sweep_blocks(*grids, i, i + 1, 1)
+    ]
+    assert "\n".join(one_by_one) == "\n".join(blocks) == whole
+    assert len(whole.split("\n")) == rows * 5
 
 
 def test_full_size_sweep_matches_the_one_process_bytes(tmp_path):
@@ -110,10 +115,10 @@ def _fail_in(monkeypatch, side: str, fail):
     """Make the row formatter call ``fail()`` in the parent or the worker only."""
     parent, rows = os.getpid(), cli._sweep_rows
 
-    def patched(sweep, lo, hi):
+    def patched(block):
         if (os.getpid() == parent) == (side == "parent"):
             fail()
-        return rows(sweep, lo, hi)
+        return rows(block)
 
     monkeypatch.setattr(cli, "_sweep_rows", patched)
 
@@ -134,20 +139,20 @@ def test_out_of_memory_on_either_side_exits_3_with_one_line(tmp_path, monkeypatc
 def test_a_worker_failing_midway_appends_none_of_its_rows(tmp_path, monkeypatch, capfd):
     # The worker writes one block of its rows, then runs out of memory: the
     # CSV keeps the header and this process's rows, and no partial tail.
-    parent, rows = os.getpid(), cli._sweep_rows
+    parent, rows, worker_blocks = os.getpid(), cli._sweep_rows, []
 
-    def one_block_then_fail(sweep, lo, hi):
-        blocks = rows(sweep, lo, hi)
-        yield next(blocks)
+    def one_block_then_fail(block):
         if os.getpid() != parent:
-            raise MemoryError("injected")
-        yield from blocks
+            if worker_blocks:  # the worker's own copy of the list
+                raise MemoryError("injected")
+            worker_blocks.append(block)
+        return rows(block)
 
     monkeypatch.setattr(cli, "_sweep_rows", one_block_then_fail)
     theta, theta_a, n = "0.01:3.13:40", "0.2:2.9:4", 40
     assert _sweep(tmp_path, theta, theta_a) == 3
     assert capfd.readouterr().err == "out of memory: injected\n"
-    split = n - int(n * cli._WORKER_SHARE)
+    split = n - n // 2  # this process's span: the lower half, rounded up
     lines = _reference(theta, theta_a, 0.0)[0].splitlines(keepends=True)
     assert (tmp_path / "sweep.csv").read_bytes() == b"".join(lines[: 1 + split * 4])
     _assert_no_child_left()
@@ -156,11 +161,11 @@ def test_a_worker_failing_midway_appends_none_of_its_rows(tmp_path, monkeypatch,
 def test_a_failing_parent_ends_the_worker_first(tmp_path, monkeypatch, capfd):
     parent, rows = os.getpid(), cli._sweep_rows
 
-    def patched(sweep, lo, hi):
+    def patched(block):
         if os.getpid() == parent:
             raise MemoryError("injected")
         time.sleep(60)  # a worker left to finish would hold the command here
-        return rows(sweep, lo, hi)
+        return rows(block)
 
     monkeypatch.setattr(cli, "_sweep_rows", patched)
     start = time.monotonic()
@@ -186,17 +191,41 @@ def test_worker_killed_by_a_signal_exits_3(tmp_path, monkeypatch, capfd):
     _assert_no_child_left()
 
 
+def _refuse(what: str):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} reached")
+
+    return refused
+
+
 @pytest.mark.parametrize("rows", [ONE_BLOCK, 3 * ONE_BLOCK])
-def test_unwritable_svg_exits_1_after_the_whole_csv(tmp_path, capfd, rows):
-    theta, theta_a = f"0.01:3.13:{rows}", "0.2:2.9:4"
+def test_unopenable_svg_exits_1_before_any_work(tmp_path, monkeypatch, capfd, rows):
+    monkeypatch.setattr(analysis, "_fallacy", _refuse("a block's arithmetic"))
+    monkeypatch.setattr(os, "fork", _refuse("os.fork"))
     missing = tmp_path / "missing" / "map.svg"
-    argv = ["sweep", "--theta", theta, "--theta-a", theta_a,
+    argv = ["sweep", "--theta", f"0.01:3.13:{rows}", "--theta-a", "0.2:2.9:4",
             "--out", str(tmp_path / "sweep.csv"), "--svg", str(missing)]
     assert cli.main(argv) == 1
     err = capfd.readouterr().err
     assert len(err.splitlines()) == 1 and str(missing) in err
-    assert (tmp_path / "sweep.csv").read_bytes() == _reference(theta, theta_a, 0.0)[0]
     _assert_no_child_left()
+
+
+def _traced_peak(tmp_path, rows: int) -> int:
+    tracemalloc.start()
+    try:
+        assert _sweep(tmp_path, f"0.01:3.13:{rows}", "0.01:3.13:256", 0.3) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_theta_rows(tmp_path):
+    # Each process holds one block of the raster, its CSV rows and its SVG
+    # rows at a time, so eight times the rows take no more memory.
+    assert _sweep(tmp_path, "0.01:3.13:32", "0.01:3.13:256", 0.3) == 0  # warm caches
+    small, large = _traced_peak(tmp_path, 64), _traced_peak(tmp_path, 512)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_no_worker_where_one_block_is_the_whole_raster(tmp_path, monkeypatch):

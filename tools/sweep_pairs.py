@@ -1,0 +1,122 @@
+"""Alternating base/change pairs of one ``qopinion sweep --svg``, summarised.
+
+    python3 tools/sweep_pairs.py --base REV --size N --pairs P [--phi X] --out FILE
+
+Each side is a fresh tree, as ``tools/bench_pairs.py`` makes them: REV under
+``.bench_build/base-<commit>/`` and a snapshot of this checkout's working
+tree under ``.bench_build/change/``.  For each of P pairs it runs ``python -m
+qopinion sweep`` once per side (the side that runs first alternates) on an
+N x N grid over 0.01..3.13 in theta and theta_a at phi X, with ``--svg``,
+and reads the child's wall time and, through ``os.wait4``, its own max RSS.
+An exec'd child's max RSS starts from its parent's, so this tool imports no
+numpy, and each pair also reads a ``python -c pass`` child: the floor below
+which no reading can fall.  FILE gets, per side, the median and quartiles
+of the wall times and max RSS, the pairs the change won (ties count for
+neither), the floor's spread, and whether the CSV and SVG bytes of the two
+sides were equal in every pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+from bench_pairs import ROOT, _git, extract, snapshot, spread
+
+METRICS = ("wall_s", "max_rss_mb")
+
+
+def spawn(argv: list[str], env: dict) -> dict:
+    """Wall seconds and own max RSS (MB) of one child; exits on its failure."""
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"exit {os.waitstatus_to_exitcode(status)}: {' '.join(argv)}")
+    return {"wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024}
+
+
+def _digest(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def sweep(tree: Path, size: int, phi: str, out: Path) -> dict:
+    """One ``qopinion sweep --svg`` from ``tree``: :func:`spawn`'s readings
+    and the digests of the CSV and the SVG, whose files are then removed."""
+    axis = f"0.01:3.13:{size}"
+    csv, svg = out / "sweep.csv", out / "sweep.svg"
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    run = spawn(["-m", "qopinion", "sweep", "--theta", axis, "--theta-a", axis,
+                 "--phi", phi, "--out", str(csv), "--svg", str(svg)], env)
+    run.update(csv=_digest(csv), svg=_digest(svg))
+    csv.unlink()
+    svg.unlink()
+    return run
+
+
+def summarise(runs: dict[str, list[dict]], floor: list[float]) -> dict:
+    """Per-metric spread of each side and the change's win count (lower is
+    better for both), the floor's spread, and the byte comparison."""
+    out = {}
+    for name in METRICS:
+        base = [r[name] for r in runs["base"]]
+        change = [r[name] for r in runs["change"]]
+        out[name] = {
+            "base": spread(base), "change": spread(change),
+            "change_wins": sum(c < b for b, c in zip(base, change)),
+        }
+    out["floor_rss_mb"] = spread(floor)
+    out["same_bytes"] = {
+        kind: all(b[kind] == c[kind] for b, c in zip(runs["base"], runs["change"]))
+        for kind in ("csv", "svg")
+    }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--size", type=int, required=True, help="grid points per axis")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--phi", default="0.3")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 (quartiles need two values)")
+
+    commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    trees = {"base": extract(commit, f"base-{commit[:12]}"), "change": snapshot()}
+    outputs = ROOT / ".bench_build" / "sweep_pairs"
+    outputs.mkdir(parents=True, exist_ok=True)
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    floor = []
+    for i in range(args.pairs):
+        floor.append(spawn(["-c", "pass"], dict(os.environ))["max_rss_mb"])
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            runs[side].append(sweep(trees[side], args.size, args.phi, outputs))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+
+    result = {
+        "command": f"python3 tools/sweep_pairs.py --base {args.base} --size {args.size} "
+        f"--pairs {args.pairs} --phi {args.phi} --out {args.out}",
+        "base": commit,
+        "change": _git("rev-parse", "HEAD")
+        + ("+uncommitted" if _git("status", "--porcelain") else ""),
+        "size": args.size,
+        "phi": args.phi,
+        "pairs": args.pairs,
+        **summarise(runs, floor),
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
