@@ -9,6 +9,7 @@ answers never carry over between the two tasks.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +185,22 @@ def simulate_population(
     if chunks == 1:
         joint = _count_span(model, seed, 0, n_agents)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
         mid = -(-chunks // 2) * _CHUNK_ROWS
-        with ThreadPoolExecutor(1) as worker:
-            upper = worker.submit(_count_span, model, seed, mid, n_agents)
-            joint = _count_span(model, seed, 0, mid) + upper.result()
+        upper = []  # the worker's counts, or the exception that ended it
+
+        def count_upper():
+            try:
+                upper.append(_count_span(model, seed, mid, n_agents))
+            except BaseException as exc:  # raised again below, in the caller
+                upper.append(exc)
+
+        worker = threading.Thread(target=count_upper)
+        worker.start()
+        try:
+            joint = _count_span(model, seed, 0, mid)
+        finally:
+            worker.join()
+        if isinstance(upper[0], BaseException):
+            raise upper[0]
+        joint += upper[0]
     return SimulationTable(n_agents, seed, tuple(int(n) for n in joint))

@@ -260,6 +260,21 @@ def test_simulate_overrides_agents_and_seed(tmp_path):
     assert row[4] == "5"
 
 
+def test_simulate_of_ten_million_agents_keeps_its_bytes(tmp_path):
+    # The run whose bytes each change to the simulation must keep: 306 chunks
+    # on both spans, seed 11.
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", str(SIMULATE), "--agents", "10000000", "--seed", "11",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "# task 0 simulate",
+        "population,a,b,agents,seed,count_a1,count_b1,count_a1_then_b1,count_b1_then_a1,"
+        "p_a1,p_b1,p_a1_then_b1,p_b1_then_a1",
+        "crowd,a,b,10000000,11,9186108,8123934,8824018,7802924,0.91861079999999995,"
+        "0.81239340000000004,0.88240180000000001,0.7802924",
+    ]
+
+
 def test_simulate_requires_simulate_task():
     code, _, err = _run(["simulate", str(BASIC), "--agents", "10", "--seed", "1"])
     assert code == 3

@@ -2,9 +2,9 @@
 
 The point-wise tasks (fallacy, sequence, underextension) are scalar code:
 importing the package or the CLI, or running a file of such tasks, must not
-load numpy.  The sweep, uncertainty and simulate paths must; a one-chunk
-simulation must not load the thread pool that counts a second span.  Each
-check runs in a fresh interpreter, since this one has long since loaded numpy.
+load numpy.  The sweep, uncertainty and simulate paths must; no simulation
+loads concurrent.futures or the logging it imports.  Each check runs in a
+fresh interpreter, since this one has long since loaded numpy.
 """
 
 import importlib
@@ -102,9 +102,21 @@ def test_array_file_loads_numpy(stem):
 
 
 def test_one_chunk_simulation_starts_no_thread_pool():
-    # The golden file's 20,000 agents are one chunk: simulate_population
-    # imports concurrent.futures only to count a second span.
+    # The golden file's 20,000 agents are one chunk.
     assert not _loads("concurrent.futures", _run_file("simulate_population"))
+
+
+def test_two_span_simulation_loads_no_logging():
+    # The second span's one thread comes from threading, which the
+    # interpreter has loaded at start-up; concurrent.futures would add
+    # logging, 6-11 ms of import that nothing else in the command needs.
+    path = str(GOLDEN / "simulate_population.qx")
+    simulate = (
+        "from qopinion import cli\n"
+        f"assert cli.main(['simulate', {path!r}, '--agents', '65536', '--seed', '1',"
+        f" '--out', {os.devnull!r}]) == 0"
+    )
+    assert not _loads("logging", simulate)
 
 
 def test_heatmap_does_not_load_urllib():

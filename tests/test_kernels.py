@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qopinion import kernels
 
@@ -71,3 +72,37 @@ def test_draws_above_the_last_fraction_go_to_the_last_component():
     out = kernels.simulate_answers(uniforms, short, p_a1, p_b1, cond)
     assert np.array_equal(out, _simulate_answers_loop(uniforms, short, p_a1, p_b1, cond))
     assert np.array_equal(out, kernels.simulate_answers(uniforms, cum, p_a1, p_b1, cond))
+
+
+# Crowds whose draws land on the component edges: a repeated cumulative
+# fraction is a zero-fraction component, and 300 components count past uint8.
+EDGE_CUMS = {
+    "three": [0.3, 0.85, 1.0],
+    "zero_fractions": [0.25, 0.25, 0.6, 0.6, 1.0, 1.0],
+    "one": [1.0],
+    "eight": np.cumsum([0.05, 0.2, 0.1, 0.0, 0.15, 0.3, 0.1, 0.1]),
+    "three_hundred": np.arange(1, 301) / 300,
+}
+EDGE_CONDS = {"interior": [0.1, 0.9, 0.15, 0.95], "certain": [0.0, 1.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize("cond", EDGE_CONDS.values(), ids=EDGE_CONDS.keys())
+@pytest.mark.parametrize("cum", EDGE_CUMS.values(), ids=EDGE_CUMS.keys())
+def test_draws_on_the_edges_match_the_loop(cum, cond):
+    cum = np.asarray(cum, dtype=float)
+    cond = np.array(cond)
+    k = len(cum)
+    # Per component P(a1), P(b1) cycle through 0, 1 and an interior value.
+    p_a1 = np.resize([0.0, 1.0, 0.4], k)
+    p_b1 = np.resize([1.0, 0.7, 0.0], k)
+    uniforms = np.random.default_rng(k).random((3 * k + 40, 5))
+    # Column 0 takes 0.0, every edge and the float just below each edge.  The
+    # answer columns take 0.0, and draws equal to 0.4 = P(a1), 0.7 = P(b1) and
+    # each conditional where the first answer selects it (yes where P is 1).
+    comp_draws = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0)])
+    uniforms[: len(comp_draws), 0] = comp_draws
+    uniforms[0::4, 1:] = 0.0
+    uniforms[1::4, 1:] = [0.4, cond[1], 0.7, cond[3]]
+    uniforms[2::4, 1:] = [0.4, cond[0], 0.7, cond[2]]
+    args = (uniforms, cum, p_a1, p_b1, cond)
+    assert np.array_equal(kernels.simulate_answers(*args), _simulate_answers_loop(*args))

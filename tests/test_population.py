@@ -125,17 +125,32 @@ def test_simulation_rejects_negative_seed():
         simulate_population(_population(), A, B, 10, -1)
 
 
+def _reference_answers(uniforms, cum_fractions, p_a1, p_b1, cond):
+    """The answer codes by binary search over the cumulative fractions, kept
+    apart from the production kernel so the chunk tests compare two
+    algorithms."""
+    comp = np.searchsorted(cum_fractions, uniforms[:, 0], side="right")
+    comp = np.minimum(comp, len(cum_fractions) - 1)  # fractions summing to just under 1
+    ans_a = uniforms[:, 1] < p_a1[comp]
+    ans_b_after_a = uniforms[:, 2] < np.where(ans_a, cond[1], cond[0])
+    ans_b = uniforms[:, 3] < p_b1[comp]
+    ans_a_after_b = uniforms[:, 4] < np.where(ans_b, cond[3], cond[2])
+    codes = ans_a * np.uint8(1)
+    codes |= ans_b_after_a * np.uint8(2)
+    codes |= ans_b * np.uint8(4)
+    codes |= ans_a_after_b * np.uint8(8)
+    return codes
+
+
 def _reference_counts(pop, a, b, n_agents, seed):
-    """The unchunked algorithm: one (n, 5) draw, the kernel, then
+    """The unchunked algorithm: one (n, 5) draw, the reference kernel, then
     count_nonzero over its unpacked answer codes.  Returns the four counts
     and the 16 joint counts."""
     uniforms = np.random.default_rng(seed).random((n_agents, 5))
     rhos = [_as_density(c.preparation) for c in pop.components]
-    cum = np.cumsum([c.fraction for c in pop.components])
-    cum[-1] = max(cum[-1], 1.0)
-    codes = simulate_answers(
+    codes = _reference_answers(
         uniforms,
-        cum,
+        np.cumsum([c.fraction for c in pop.components]),
         np.array([outcome_probability(r, a, 1) for r in rhos]),
         np.array([outcome_probability(r, b, 1) for r in rhos]),
         np.array([
@@ -224,6 +239,19 @@ def test_worker_span_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert err.splitlines() == ["out of memory: worker span"]
     assert not out.exists()
+
+
+def test_caller_span_error_joins_the_worker_first(monkeypatch):
+    def answers(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise MemoryError("caller span")
+        return simulate_answers(*args)
+
+    monkeypatch.setattr(population, "simulate_answers", answers)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="caller span"):
+        simulate_population(THREE_WAY, A, B, 8 * CHUNK, 3)
+    assert threading.active_count() == before
 
 
 def test_simulation_memory_does_not_grow_with_agents():
