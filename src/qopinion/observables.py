@@ -155,16 +155,6 @@ def conditional_probability(
     return c2 if i == j else 1.0 - c2
 
 
-def question_matrix(q: Question) -> list[list[complex]]:
-    """The operator 0*|q0><q0| + 1*|q1><q1| as a dense 2x2 matrix."""
-    _, q1 = eigenvectors_in_reference(q)
-    a0, a1 = q1.amp0, q1.amp1
-    return [
-        [a0 * a0.conjugate(), a0 * a1.conjugate()],
-        [a1 * a0.conjugate(), a1 * a1.conjugate()],
-    ]
-
-
 def commutator_is_zero(a: Question, b: Question) -> bool:
     """True iff the operator norm of AB - BA is below 1e-12.
 

@@ -3,19 +3,22 @@
 The point-wise tasks (fallacy, sequence, underextension) are scalar code:
 importing the package or the CLI, or running a file of such tasks, must not
 load numpy.  The sweep, uncertainty and simulate paths must; no simulation
-loads concurrent.futures or the logging it imports.  Each check runs in a
-fresh interpreter, since this one has long since loaded numpy.
+loads logging.  ``import qopinion`` itself loads no submodule: each public
+name is imported on first access.  Each import check runs in a fresh
+interpreter, since this one has long since loaded numpy and the package.
 """
 
 import importlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import qopinion
+from qopinion import cli, population
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,14 +71,18 @@ MODULES = (
 ALL = {*MODULES, *(name for names in EXPORTS.values() for name in names)}
 
 
+def _fresh(code: str) -> str:
+    """What ``code`` prints when it runs in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+
+
 def _loads(module: str, code: str) -> bool:
     """Whether ``module`` is in ``sys.modules`` after ``code`` runs in a fresh
     interpreter."""
     probe = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-    ).stdout
-    return out.split()[-1] == "True"
+    return _fresh(probe).split()[-1] == "True"
 
 
 def _run_file(stem: str) -> str:
@@ -91,6 +98,35 @@ def test_import_does_not_load_numpy(module):
     assert not _loads("numpy", f"import {module}")
 
 
+def test_import_loads_no_submodule():
+    probe = "import sys, qopinion\nprint(*sorted(m for m in sys.modules if m.startswith('qopinion.')))"
+    assert _fresh(probe).split() == []
+
+
+def test_scalar_name_does_not_load_numpy():
+    assert not _loads("numpy", "from qopinion import fallacy_report")
+
+
+def test_home_module_outside_all_resolves():
+    # fallacy defines ten of the names but is not itself exported.
+    assert "fallacy" not in qopinion.__all__
+    probe = "import sys, qopinion\nprint(qopinion.fallacy is sys.modules['qopinion.fallacy'])"
+    assert _fresh(probe).split() == ["True"]
+
+
+def test_unlisted_module_is_an_attribute_only_once_imported():
+    probe = (
+        "import qopinion\n"
+        "try:\n"
+        "    qopinion.cli\n"
+        "except AttributeError:\n"
+        "    print('absent')\n"
+        "import qopinion.cli\n"
+        "print(qopinion.cli.__name__)"
+    )
+    assert _fresh(probe).split() == ["absent", "qopinion.cli"]
+
+
 @pytest.mark.parametrize("stem", NUMPY_FREE)
 def test_point_wise_file_does_not_load_numpy(stem):
     assert not _loads("numpy", _run_file(stem))
@@ -101,9 +137,21 @@ def test_array_file_loads_numpy(stem):
     assert _loads("numpy", _run_file(stem))
 
 
-def test_one_chunk_simulation_starts_no_thread_pool():
-    # The golden file's 20,000 agents are one chunk.
-    assert not _loads("concurrent.futures", _run_file("simulate_population"))
+def test_simulation_starts_a_thread_only_past_one_chunk(monkeypatch, tmp_path):
+    starts = []
+    thread_start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    path, out = str(GOLDEN / "simulate_population.qx"), str(tmp_path / "sim.csv")
+    for agents, expected in ((20_000, 0), (2 * population._CHUNK_ROWS, 1)):
+        starts.clear()
+        argv = ["simulate", path, "--agents", str(agents), "--seed", "1", "--out", out]
+        assert cli.main(argv) == 0
+        assert len(starts) == expected, agents
 
 
 def test_two_span_simulation_loads_no_logging():

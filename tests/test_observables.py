@@ -16,7 +16,8 @@ from qopinion import (
     pure_from_angles,
     relative_relation,
 )
-from qopinion.observables import IDENTITY_RELATION, inverse_relation, question_matrix
+from qopinion.observables import IDENTITY_RELATION, inverse_relation
+from qopinion.oracle import _projector
 
 
 def test_relation_canonicalization():
@@ -111,7 +112,7 @@ def _round_trip_gap(ra, rb):
     composing relative_relation(a, b) back onto a."""
     a, b = Question("a", ra), Question("b", rb)
     back = Question("back", compose_relations(ra, relative_relation(a, b)))
-    mb, mback = question_matrix(b), question_matrix(back)
+    mb, mback = _projector(b, 1), _projector(back, 1)
     return max(abs(mb[i][j] - mback[i][j]) for i in (0, 1) for j in (0, 1))
 
 
@@ -156,8 +157,9 @@ def test_conditional_probability_symmetry_and_values():
 
 def test_question_matrix_is_projector():
     q = Question("q", BasisRelation(0.8, 1.2))
-    m = question_matrix(q)
-    assert abs(m[0][0] + m[1][1] - 1.0 + (1.0 - (m[0][0] + m[1][1]).real)) >= 0
+    m = _projector(q, 1)
+    # Rank one: the trace is 1.
+    assert abs(m[0][0] + m[1][1] - 1.0) < 1e-14
     # Idempotent: M^2 == M entrywise.
     sq = [
         [m[0][0] * m[0][0] + m[0][1] * m[1][0], m[0][0] * m[0][1] + m[0][1] * m[1][1]],
@@ -178,7 +180,7 @@ def test_commutator_detection():
 
 def _matrix_commutator(a, b):
     """AB - BA from the dense matrices: the reference for commutator_is_zero."""
-    ma, mb = question_matrix(a), question_matrix(b)
+    ma, mb = _projector(a, 1), _projector(b, 1)
 
     def matmul(x, y):
         return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in (0, 1)] for i in (0, 1)]
