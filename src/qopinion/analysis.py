@@ -3,6 +3,7 @@
 :func:`sweep_blocks` runs the point-wise arithmetic of :mod:`fallacy` on
 blocks of theta rows, so each cell equals :func:`fallacy.fallacy_report`
 for its point bit for bit; :func:`sweep_fallacy_map` is its one block.
+:func:`csv_rows` writes a block's CSV lines, a byte matrix at a time.
 This module, :mod:`heatmap`, :mod:`population` and :mod:`kernels` are the
 package's numpy users; the scalar tasks never import them.
 """
@@ -175,6 +176,104 @@ def sweep_blocks(
         )
 
     return map(block, (thetas[start:start + rows] for start in range(0, len(thetas), rows)))
+
+
+# A float's `.17g` text is built right-aligned in 24 bytes, NUL where it has no
+# character (the longest text, "-1.7976931348623157e+308", has 24).  Where
+# 1e-4 <= |x| < 1, with decimal exponent E = e - 4, it is "0.", 3 - e zeros
+# and q = round-half-even(|x| * 10**(16 - E)), 17 digits without trailing
+# zeros: six 4-byte words of _WORDS, NUL sign "0." | zeros and q's first digit
+# | q's four 4-digit groups, the last nonzero one and all after it stripped.
+_DIGITS = np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10 + 48
+_STRIPPED = 10000  # _WORDS[_STRIPPED + g]: group g, NUL for its trailing zeros
+_LEAD = 20000  # _WORDS[_LEAD + 10 * e + d]: 3 - e zeros, then the digit d
+_SIGN = 20040  # _WORDS[_SIGN + s]: the first word, s = 1 for a minus sign
+_WORDS = np.concatenate([
+    _DIGITS,
+    _DIGITS * np.logical_or.accumulate(_DIGITS[:, ::-1] != 48, axis=1)[:, ::-1],
+    np.where(np.arange(4) < np.arange(40)[:, None] // 10, 0, 48)
+    + np.arange(40)[:, None] % 10 * [0, 0, 0, 1],
+    [list(b"\0\0" b"0."), list(b"\0-0.")],
+]).astype(np.uint8).view(np.uint32).ravel()
+_SCALE = np.array([1e20, 1e19, 1e18, 1e17])  # 10**(16 - E), exact in binary64
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
+
+
+def _scalar_slots(values: np.ndarray) -> np.ndarray:
+    """The 24-byte slots of ``values`` from ``format``, in one batch."""
+    text = "".join(format(v, "\0>24.17g") for v in values.tolist())
+    return np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of each float, as 24-byte slots: x.shape + (24,).
+
+    Where 1e-4 <= |v| < 1, p + err = |v| * 10**(16 - E) exactly (Dekker's
+    two-product) and p >= 10**16 > 2**53 is even, so q = p + rint(err) is
+    rounded half to even.  Every other value goes to :func:`_scalar_slots`,
+    as would any q outside [10**16, 10**17)."""
+    flat = x.ravel()
+    a = np.abs(flat)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a = np.where(fast, a, 0.5)  # off the path: any value that keeps the casts finite
+    e = np.searchsorted([1e-3, 1e-2, 1e-1], a, side="right")  # E + 4
+    scale, hi = _SCALE[e], _SCALE_HI[e]
+    lo = scale - hi  # exact
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * scale
+    err = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+    q = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= (q >= 10**16) & (q < 10**17)
+    words = np.empty((flat.size, 6), np.intp)
+    words[:, 0] = _SIGN + np.signbit(flat)
+    first = q // 10**16
+    words[:, 1] = _LEAD + 10 * e + first
+    rest = q - first * 10**16
+    for k in range(4):  # q's 4-digit groups, stripped where all after are zero
+        below = 10 ** (12 - 4 * k)
+        group = rest // below
+        rest -= group * below
+        words[:, 2 + k] = group + _STRIPPED * (rest == 0)
+    chars = _WORDS[words].view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        chars[slow] = _scalar_slots(flat[slow])
+    return chars.reshape(*x.shape, 24)
+
+
+def _field_bytes(column) -> np.ndarray:
+    """A column's text per cell, as bytes padded with NUL: shape + (width,)."""
+    column = np.asarray(column)
+    if column.dtype == bool:
+        return (column.view(np.uint8) + 48)[..., None]
+    if column.dtype == np.float64:
+        return _g17(column)
+    return column.astype(bytes)[..., None].view(np.uint8)
+
+
+def csv_rows(*columns) -> str:
+    """The CSV lines of a grid of cells in row-major order, newline-separated.
+
+    The columns broadcast to the grid's shape, and each cell is written as
+    ``cli._cell`` writes a value: a bool as 0 or 1, a float as ``format(v,
+    ".17g")``, anything else (ASCII text) as ``str``.  The lines are one byte
+    matrix of fixed-width fields, NUL where a field is shorter, without the NULs.
+    """
+    fields = [_field_bytes(column) for column in columns]
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    out = np.empty((*shape, sum(f.shape[-1] + 1 for f in fields)), np.uint8)
+    end = 0
+    for f in fields:
+        out[..., end:end + f.shape[-1]] = f
+        end += f.shape[-1] + 1
+        out[..., end - 1] = ord(",")
+    del fields  # before the compaction, whose buffers are as large as out
+    out[..., -1] = ord("\n")
+    out.reshape(-1)[-1] = 0  # no newline after the last line
+    return str(out[out != 0], "ascii")
 
 
 def uncertainty_sum_minimum(

@@ -72,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cell(value) -> str:
     """One CSV field: flags as 0/1, floats with 17 significant digits (so
-    re-parsing reproduces them exactly), anything else as ``str``."""
+    re-parsing reproduces them exactly), anything else as ``str``; the same
+    bytes as :func:`analysis.csv_rows` gives a sweep's cells, a block at once."""
     if isinstance(value, bool):  # first: str(True) would print "True"
         return "1" if value else "0"
     if isinstance(value, float):
@@ -136,10 +137,6 @@ def _require_pure(state, name: str) -> PureState:
     return state
 
 
-# The four flag columns for each 4-bit code, whose binary digits are the flags.
-_FLAG_FIELDS = [",".join(f"{code:04b}") for code in range(16)]
-
-
 # Theta rows per block that a sweep computes, formats and writes at a time.
 # A raster of one block is written in process; a larger one by two processes,
 # the lower half of its theta rows (rounded up) by the command itself.
@@ -148,26 +145,16 @@ _CHUNK_ROWS = 16
 
 def _sweep_rows(block: SweepResult) -> str:
     """The CSV rows of a block of theta rows, row-major in theta and
-    newline-separated.
+    newline-separated; its axis values go through :func:`_cell`."""
+    from .analysis import csv_rows
 
-    The axis columns are formatted once per axis value, not once per row,
-    and a cell's four flags once per code.
-    """
-    theta_a = [_cell(x) for x in block.theta_a.tolist()]
-    columns = [getattr(block, name) for name in _FALLACY_FIELDS]
-    values, flags = columns[:-4], columns[-4:]
-    fmt = f",{_cell(block.phi)}" + ",%.17g" * len(values) + ",%s,"
-    codes = sum(flag * (8 >> k) for k, flag in enumerate(flags))
-    lines = []
-    for i, (theta, row_codes) in enumerate(zip(block.theta.tolist(), codes.tolist())):
-        head = f"{_cell(theta)},"
-        tail = fmt + block.regime[i].value
-        cells = zip(*(column[i].tolist() for column in values))
-        row_flags = [_FLAG_FIELDS[code] for code in row_codes]
-        lines.extend(
-            head + x + tail % (*v, f) for x, v, f in zip(theta_a, cells, row_flags)
-        )
-    return "\n".join(lines)
+    return csv_rows(
+        [[_cell(theta)] for theta in block.theta.tolist()],
+        [_cell(theta_a) for theta_a in block.theta_a.tolist()],
+        _cell(block.phi),
+        *(getattr(block, name) for name in _FALLACY_FIELDS),
+        [[regime.value] for regime in block.regime],
+    )
 
 
 def _run_fallacy(args: dict, rt: Runtime):
@@ -355,20 +342,20 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     """Write the sweep's CSV to ``--out`` and, with ``--svg``, its heatmap.
 
-    Formatting the ``.17g`` floats is most of a sweep's time, and it runs in
-    pure Python under the GIL: ``.17g`` has no faster form with the same
-    bytes (``repr`` agrees with it on only about half of all values), and a
-    second thread would only take turns with this one.  So once the raster is
-    reserved and the outputs are opened, a raster of more than one block is
-    written by two processes, each over its own span of theta rows: compute a
-    block, write its CSV rows, write its SVG rows.  One forked worker writes
-    the upper rows and the SVG's legend to two unnamed files beside the
-    outputs, appended once it has exited with 0.  When only the worker fails,
-    it prints its own diagnostic and the command exits with its code; when
-    this process fails, it ends the worker before reporting.  A failed sweep
-    may leave a partial ``--out`` or ``--svg``.  The worker runs only Python
-    formatting and element-wise numpy, never a BLAS routine, so the BLAS
-    thread that the fork does not copy is never missed.
+    A block's SVG rows are built in pure Python and its CSV rows by
+    :func:`analysis.csv_rows` in many small numpy calls, so a sweep runs
+    mostly under the GIL, where a second thread would mostly take turns with
+    this one.  So once the raster is reserved and the outputs are opened, a
+    raster of more than one block is written by two processes, each over its
+    own span of theta rows: compute a block, write its CSV rows, write its SVG
+    rows.  One forked worker writes the upper rows and the SVG's legend to two
+    unnamed files beside the outputs, appended once it has exited with 0.
+    When only the worker fails, it prints its own diagnostic and the command
+    exits with its code; when this process fails, it ends the worker before
+    reporting.  A failed sweep may leave a partial ``--out`` or ``--svg``.
+    The worker runs only Python formatting and element-wise numpy, never a
+    BLAS routine, so the BLAS thread that the fork does not copy is never
+    missed.
     """
     from .analysis import sweep_blocks
     from .heatmap import fallacy_heatmap_rows

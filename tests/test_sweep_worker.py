@@ -2,14 +2,16 @@
 
 The CLI computes and writes the lower theta rows itself and one forked
 worker the upper rows, each block's CSV rows and then its SVG rows.  These
-tests hold the files to the bytes of the one-process formatter at every
-split point, check that the outputs are opened before any work, that memory
-does not grow with the theta rows, that the worker's failures end the
+tests hold the files to the bytes of a per-cell ``format(x, ".17g")`` row
+loop over one in-process raster at every split point, check that the
+outputs are opened before any work, that memory does not grow with the
+theta rows, that the worker's failures end the
 command with main's exit code and one diagnostic, and that no process
 outlives a sweep.  Tests that see the worker's stderr use ``capfd``: the
 worker writes to the file descriptor, which ``capsys`` does not capture.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -30,12 +32,25 @@ GOLDEN = Path(__file__).parent / "golden"
 ONE_BLOCK = cli._CHUNK_ROWS
 
 
+def _reference_rows(sweep) -> str:
+    """The CSV rows of a raster, one cell at a time: each float through
+    ``format(x, ".17g")`` and each flag as 0 or 1."""
+    columns = [getattr(sweep, name).tolist() for name in cli._FALLACY_FIELDS]
+    lines = []
+    for i, theta in enumerate(sweep.theta.tolist()):
+        for k, theta_a in enumerate(sweep.theta_a.tolist()):
+            cells = [theta, theta_a, sweep.phi, *(column[i][k] for column in columns)]
+            text = [format(v, ".17g") if isinstance(v, float) else str(int(v)) for v in cells]
+            lines.append(",".join([*text, sweep.regime[i].value]))
+    return "\n".join(lines)
+
+
 def _reference(theta: str, theta_a: str, phi: float) -> tuple[bytes, bytes]:
-    """The CSV and SVG bytes of one in-process pass over every row."""
+    """The CSV and SVG bytes of one in-process raster over every row."""
     grids = [GridRange(*map(float, axis.split(":")[:2]), int(axis.split(":")[2]))
              for axis in (theta, theta_a)]
     sweep = sweep_fallacy_map(*grids, phi)
-    csv = "\n".join([cli.SWEEP_HEADER, cli._sweep_rows(sweep), ""])
+    csv = "\n".join([cli.SWEEP_HEADER, _reference_rows(sweep), ""])
     svg = fallacy_heatmap_svg(sweep, grids[0].steps, grids[1].steps)
     return csv.encode(), svg.encode()
 
@@ -59,8 +74,13 @@ def _assert_no_child_left():
         (f"0.01:3.13:{2 * ONE_BLOCK + 1}", "0.2:2.9:6", 0.0),
         ("0.01:3.13:37", "0.4:1.3:2", 0.0),  # odd rows, the fewest columns
         ("-3.5:7:41", "0.05:3.09:7", 0.7),
+        # Exact angles: zeros, signed zeros and exponent forms in the values.
+        ("0:3.141592653589793:64", "0:3.141592653589793:64", math.pi / 2),
+        ("-3.5:7:37", "-3.5:7:5", 0.7),  # negative angles
+        ("-2:2:40", "-1:3:33", -math.pi / 2),
     ],
-    ids=["2-rows", "one-block", "one-block+1", "two-blocks+1", "odd-two-columns", "phi"],
+    ids=["2-rows", "one-block", "one-block+1", "two-blocks+1", "odd-two-columns", "phi",
+         "exact-angles", "negative-angles", "negative-phi"],
 )
 def test_sweep_files_match_the_one_process_bytes(tmp_path, theta, theta_a, phi):
     assert _sweep(tmp_path, theta, theta_a, phi) == 0
@@ -74,6 +94,7 @@ def test_row_blocks_do_not_depend_on_the_span():
     grids = (GridRange(0.01, 3.13, 2 * ONE_BLOCK + 3), GridRange(0.2, 2.9, 5), 0.3)
     rows = grids[0].steps
     whole = cli._sweep_rows(sweep_fallacy_map(*grids))
+    assert whole == _reference_rows(sweep_fallacy_map(*grids))
     blocks = [cli._sweep_rows(b) for b in sweep_blocks(*grids, 0, rows, ONE_BLOCK)]
     assert len(blocks) == 3  # two full blocks and one of three rows
     one_by_one = [
