@@ -5,7 +5,11 @@ written (a closed stdout pipe too), 2 experiment-file parse error (also a
 file that is not UTF-8), 3 validation error or out of memory.  All results
 go to the selected output stream as CSV (sections separated by ``# task``
 comment lines when a file contains more than one task); diagnostics go to
-stderr, one line each.
+stderr, one line each.  ``run`` and ``simulate`` prepare every task before
+they open the output, then stream it: a task that fails to prepare writes
+nothing, but a failure in the middle of a sweep's arithmetic, such as a
+MemoryError, may leave partial output.  ``sweep`` rejects an ``--svg`` that
+names the ``--out`` file.
 
 The ``qopinion`` command (also ``python -m qopinion``) ends its process
 without the interpreter's teardown once its work is done; code that embeds
@@ -16,13 +20,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import shutil
 import signal
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, NoReturn, TextIO
 
 from . import dsl
 from .errors import QOpinionError, ValidationError
@@ -234,40 +240,50 @@ _TASKS = {
 }
 
 
-def execute_tasks(spec: dsl.ExperimentSpec, seed=None, agents=None) -> str:
-    """Run every task in declaration order and return the combined CSV text.
+def _task_lines(spec: dsl.ExperimentSpec, seed=None, agents=None) -> Iterator[str]:
+    """Prepare every task in declaration order, then return its CSV lines
+    lazily: a ``# task`` line, the header and the rows, a sweep's in blocks
+    computed as they are taken.  Preparing builds the runtime and calls each
+    runner, which computes every point-wise result and reserves every raster.
 
     ``seed`` and ``agents``, when given, replace the arguments of those names
     in every task that takes them (the simulate tasks).
     """
     rt = build_runtime(spec)
     overrides = {k: v for k, v in (("seed", seed), ("agents", agents)) if v is not None}
-    # Every line, a sweep's in blocks of rows, joined once, so a raster's text
-    # is held only as blocks and as the result.  The empty last line ends it.
-    lines: list[str] = []
+    sections: list[Iterable[str]] = []
     for idx, task in enumerate(spec.tasks):
         header, runner = _TASKS[task.kind]
         args = dict(task.args)
         args.update((k, v) for k, v in overrides.items() if k in args)
-        result = runner(args, rt)
-        lines += (f"# task {idx} {task.kind}", header, *result)
-    lines.append("")
-    return "\n".join(lines)
+        sections += ([f"# task {idx} {task.kind}", header], runner(args, rt))
+    return itertools.chain.from_iterable(sections)
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()  # entry() ends the process without a final flush
-        except OSError:  # leave the exit flush no buffered bytes to fail on
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+def execute_tasks(spec: dsl.ExperimentSpec, seed=None, agents=None) -> str:
+    """Run every task in declaration order and return the combined CSV text:
+    the lines of :func:`_task_lines`, each ended by a newline."""
+    return "\n".join([*_task_lines(spec, seed, agents), ""])
+
+
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout when ``path`` is None, else the file ``path`` (created or
+    truncated).  stdout is flushed at the end, since entry() ends the process
+    without a final flush; if writing to it fails (a closed pipe), it is
+    pointed at the null device, so the exit flush has no bytes to fail on."""
+    if path is not None:
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _option(parse):
@@ -334,8 +350,9 @@ def _load_spec(path: str) -> dsl.ExperimentSpec:
 
 
 def cmd_run(args) -> int:
-    spec = _load_spec(args.file)
-    _write_output(execute_tasks(spec, seed=args.seed), args.out)
+    lines = _task_lines(_load_spec(args.file), seed=args.seed)
+    with _output(args.out) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -378,7 +395,9 @@ def cmd_sweep(args) -> int:
             fh.flush()
 
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+        files = [stack.enter_context(_output(path)) for path in paths]
+        if len(files) > 1 and os.path.samestat(*(os.fstat(fh.fileno()) for fh in files)):
+            raise _CliError(f"--svg {args.svg}: the same file as --out {args.out}", 1)
         files[0].write(SWEEP_HEADER + "\n")
         if split == rows:  # one block: no worker
             write(lower, 0, files)
@@ -455,8 +474,9 @@ def cmd_simulate(args) -> int:
     tasks = tuple(t for t in spec.tasks if t.kind == "simulate")
     if not tasks:
         raise ValidationError(f"{args.file}: no simulate tasks")
-    text = execute_tasks(replace(spec, tasks=tasks), seed=args.seed, agents=args.agents)
-    _write_output(text, args.out)
+    lines = _task_lines(replace(spec, tasks=tasks), seed=args.seed, agents=args.agents)
+    with _output(args.out) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
     return 0
 
 

@@ -79,6 +79,26 @@ def test_run_holds_a_sweep_text_about_twice():
     assert peak < 2.5 * len(text), peak / len(text)
 
 
+def _run_peak(tmp_path, rows: int) -> int:
+    qx = tmp_path / "sweep.qx"
+    qx.write_text("question a\nquestion b from a theta=0.3\n"
+                  f"task sweep pair=a,b theta=0.01:3.13:{rows} theta_a=0.01:3.13:256 phi=0.3\n")
+    tracemalloc.start()
+    try:
+        assert main(["run", str(qx), "--out", str(tmp_path / "run.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_run_does_not_hold_the_raster(tmp_path):
+    # run writes a sweep's blocks as they are computed, so eight times the
+    # theta rows take no more memory.
+    _run_peak(tmp_path, 32)  # warm caches
+    small, large = _run_peak(tmp_path, 64), _run_peak(tmp_path, 512)
+    assert large <= 1.25 * small, (small, large)
+
+
 def test_run_defaults_to_stdout():
     code, stdout, _ = _run(["run", str(BASIC)])
     assert code == 0
@@ -113,14 +133,20 @@ def test_simulate_to_piped_stdout_loses_no_output(tmp_path):
     assert _piped_stdout(argv) == out.read_bytes()
 
 
-def test_closed_stdout_pipe_exits_1_with_one_line():
+# fallacy_basic's CSV fits the stdout buffer, so it first fails at the final
+# flush; sweep_grid's ~115 KB fill the buffer, so a write in the loop fails.
+CLOSED_PIPE_FILES = [BASIC, GOLDEN / "sweep_grid.qx"]
+
+
+@pytest.mark.parametrize("qx", CLOSED_PIPE_FILES, ids=lambda p: p.stem)
+def test_closed_stdout_pipe_exits_1_with_one_line(qx):
     # The reader is gone before the command starts; a buffered stdout first
     # fails when it is flushed.
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "qopinion", "run", str(BASIC)],
+            [sys.executable, "-m", "qopinion", "run", str(qx)],
             stdout=write, stderr=subprocess.PIPE, text=True, env=_buffered_env(),
         )
     finally:
@@ -129,12 +155,13 @@ def test_closed_stdout_pipe_exits_1_with_one_line():
     assert proc.stderr.splitlines() == ["[Errno 32] Broken pipe"]
 
 
-def test_closed_stdout_pipe_in_process_exits_1_with_one_line():
+@pytest.mark.parametrize("qx", CLOSED_PIPE_FILES, ids=lambda p: p.stem)
+def test_closed_stdout_pipe_in_process_exits_1_with_one_line(qx):
     # main() called in process, as embedding code calls it: the embedding
     # interpreter's own exit flush must then find nothing left to fail on.
     read, write = os.pipe()
     os.close(read)
-    code = f"import sys\nfrom qopinion import cli\nsys.exit(cli.main(['run', {str(BASIC)!r}]))"
+    code = f"import sys\nfrom qopinion import cli\nsys.exit(cli.main(['run', {str(qx)!r}]))"
     try:
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -453,6 +480,13 @@ def test_sweep_pair_does_not_enter_the_output(tmp_path):
                                   "task uncertainty pair=a,b steps=100000000000000000000\n"),
         (["run", "{tmp}/big.qx"], "question a\nquestion b from a theta=0.3\n"
                                   "task sweep pair=a,b theta=0:1:100000000000000 theta_a=0:1:4\n"),
+        # Every task is prepared before the output is opened, so a later
+        # task's failure writes none of the earlier tasks' lines.
+        (["run", "{tmp}/big.qx", "--out", "{tmp}/big.csv"],
+         "question a\nquestion b from a theta=0.3\nstate s pure basis=a theta_a=0.5\n"
+         "task fallacy state=s pair=a,b\n"
+         "task sweep pair=a,b theta=0:1:20 theta_a=0:1:4\n"
+         "task uncertainty pair=a,b steps=100000000000000\n"),
         (["sweep", "--theta", "0:1:100000000000000", "--theta-a", "0:1:4",
           "--out", "{tmp}/big.csv"], ""),
         (["sweep", "--theta", "0:1:10000000", "--theta-a", "0:1:10000000",
@@ -460,7 +494,8 @@ def test_sweep_pair_does_not_enter_the_output(tmp_path):
         (["sweep", "--theta", "0:1:100000000000000", "--theta-a", "0:1:100000000000000",
           "--out", "{tmp}/big.csv"], ""),
     ],
-    ids=["steps", "steps-overflow", "sweep", "sweep-option", "sweep-cells", "sweep-bytes-overflow"],
+    ids=["steps", "steps-overflow", "sweep", "later-task", "sweep-option", "sweep-cells",
+         "sweep-bytes-overflow"],
 )
 def test_allocation_beyond_the_address_space_exits_3(tmp_path, argv, text):
     # The first allocation exceeds 128 TiB (or its byte count overflows), so it

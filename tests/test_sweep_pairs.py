@@ -12,8 +12,11 @@ sweep_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(sweep_pairs)
 
 
-def _run(wall, rss, csv="c", svg="s"):
-    return {"wall_s": wall, "max_rss_mb": rss, "csv": csv, "svg": svg}
+def _run(wall, rss, csv="c", svg="s", run=None):
+    """A sweep's reading, with a run's reading of the same CSV (by default
+    twice the sweep's wall time and its max RSS)."""
+    run = {"wall_s": 2 * wall, "max_rss_mb": rss, "csv": csv} if run is None else run
+    return {"wall_s": wall, "max_rss_mb": rss, "csv": csv, "svg": svg, "run": run}
 
 
 def test_summary_counts_lower_as_a_win_and_compares_the_bytes():
@@ -28,7 +31,26 @@ def test_summary_counts_lower_as_a_win_and_compares_the_bytes():
     assert out["wall_s"]["base"] == sweep_pairs.spread([1.0, 2.0, 3.0])
     assert out["max_rss_mb"]["change"] == sweep_pairs.spread([43.0, 44.0, 43.5])
     assert out["floor_rss_mb"] == sweep_pairs.spread([13.0, 13.5, 13.0])
-    assert out["same_bytes"] == {"csv": True, "svg": True}
+    assert out["same_bytes"] == {"csv": True, "svg": True, "run": True}
+    assert out["run"]["wall_s"]["change_wins"] == 1
+    assert out["run"]["wall_s"]["base"] == sweep_pairs.spread([2.0, 4.0, 6.0])
+    assert out["run"]["max_rss_mb"]["change"] == sweep_pairs.spread([43.0, 44.0, 43.5])
+
+
+def test_run_is_compared_on_each_side_with_its_own_sweep():
+    slow_run = {"wall_s": 0.9, "max_rss_mb": 125.0, "csv": "c"}
+    runs = {
+        "base": [_run(1.0, 36.0, run=slow_run), _run(1.0, 36.0, run=slow_run)],
+        "change": [_run(1.0, 36.0), _run(1.0, 36.0, run={**slow_run, "max_rss_mb": 39.0})],
+    }
+    out = sweep_pairs.summarise(runs, [1.0, 1.0])
+    assert out["run"]["max_rss_mb"]["change_wins"] == 2
+    assert out["run"]["max_rss_mb"]["base"]["median"] == 125.0
+    assert out["same_bytes"]["run"] is True
+    runs["base"][1]["run"] = {**slow_run, "csv": "other"}
+    assert sweep_pairs.summarise(runs, [1.0, 1.0])["same_bytes"] == {
+        "csv": True, "svg": True, "run": False,
+    }
 
 
 def test_one_differing_pair_marks_the_bytes_unequal():
@@ -36,7 +58,9 @@ def test_one_differing_pair_marks_the_bytes_unequal():
         "base": [_run(1.0, 1.0), _run(1.0, 1.0)],
         "change": [_run(1.0, 1.0), _run(1.0, 1.0, svg="other")],
     }
-    assert sweep_pairs.summarise(runs, [1.0, 1.0])["same_bytes"] == {"csv": True, "svg": False}
+    assert sweep_pairs.summarise(runs, [1.0, 1.0])["same_bytes"] == {
+        "csv": True, "svg": False, "run": True,
+    }
 
 
 def test_main_alternates_the_sides_and_reads_the_floor_each_pair(tmp_path, monkeypatch):
@@ -46,12 +70,17 @@ def test_main_alternates_the_sides_and_reads_the_floor_each_pair(tmp_path, monke
         calls.append((tree.name, size, phi))
         return _run(1.0 if tree.name == "base" else 0.9, 40.0)
 
+    def run(tree, size, phi, out):
+        calls.append(("run", tree.name, size, phi))
+        return {"wall_s": 1.0 if tree.name == "base" else 1.1, "max_rss_mb": 41.0, "csv": "c"}
+
     def spawn(argv, env):
         calls.append(tuple(argv))
         return {"wall_s": 0.01, "max_rss_mb": 12.0}
 
     monkeypatch.setattr(sweep_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(sweep_pairs, "sweep", sweep)
+    monkeypatch.setattr(sweep_pairs, "run", run)
     monkeypatch.setattr(sweep_pairs, "spawn", spawn)
     monkeypatch.setattr(sweep_pairs, "extract", lambda treeish, name: tmp_path / "base")
     monkeypatch.setattr(sweep_pairs, "snapshot", lambda: tmp_path / "change")
@@ -60,11 +89,25 @@ def test_main_alternates_the_sides_and_reads_the_floor_each_pair(tmp_path, monke
     argv = ["--base", "HEAD", "--size", "64", "--pairs", "2", "--phi", "0", "--out", str(out)]
     assert sweep_pairs.main(argv) == 0
     assert calls == [
-        ("-c", "pass"), ("base", 64, "0"), ("change", 64, "0"),
-        ("-c", "pass"), ("change", 64, "0"), ("base", 64, "0"),
+        ("-c", "pass"), ("base", 64, "0"), ("run", "base", 64, "0"),
+        ("change", 64, "0"), ("run", "change", 64, "0"),
+        ("-c", "pass"), ("change", 64, "0"), ("run", "change", 64, "0"),
+        ("base", 64, "0"), ("run", "base", 64, "0"),
     ]
     result = json.loads(out.read_text())
     assert (result["size"], result["phi"], result["pairs"]) == (64, "0", 2)
     assert result["wall_s"]["change_wins"] == 2
+    assert result["run"]["wall_s"]["change_wins"] == 0
     assert result["floor_rss_mb"]["median"] == 12.0
-    assert result["same_bytes"] == {"csv": True, "svg": True}
+    assert result["same_bytes"] == {"csv": True, "svg": True, "run": True}
+
+
+def test_run_reading_is_the_sweep_csv_after_its_marker_line(tmp_path):
+    # Both readings of this checkout's tree on a 20 x 20 grid: the sweep forks,
+    # the run does not, and their CSVs differ only by the run's "# task" line.
+    tree = Path(__file__).resolve().parents[1]
+    swept = sweep_pairs.sweep(tree, 20, "0.3", tmp_path)
+    ran = sweep_pairs.run(tree, 20, "0.3", tmp_path)
+    assert ran["csv"] == swept["csv"]
+    assert ran["wall_s"] > 0 and ran["max_rss_mb"] > 0
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.qx"]

@@ -4,10 +4,10 @@ The CLI computes and writes the lower theta rows itself and one forked
 worker the upper rows, each block's CSV rows and then its SVG rows.  These
 tests hold the files to the bytes of a per-cell ``format(x, ".17g")`` row
 loop over one in-process raster at every split point, check that the
-outputs are opened before any work, that memory does not grow with the
-theta rows, that the worker's failures end the
-command with main's exit code and one diagnostic, and that no process
-outlives a sweep.  Tests that see the worker's stderr use ``capfd``: the
+outputs are opened before any work and that two names of one file are
+rejected there, that memory does not grow with the theta rows, that the
+worker's failures end the command with main's exit code and one
+diagnostic, and that no process outlives a sweep.  Tests that see the worker's stderr use ``capfd``: the
 worker writes to the file descriptor, which ``capsys`` does not capture.
 """
 
@@ -229,6 +229,33 @@ def test_unopenable_svg_exits_1_before_any_work(tmp_path, monkeypatch, capfd, ro
     assert cli.main(argv) == 1
     err = capfd.readouterr().err
     assert len(err.splitlines()) == 1 and str(missing) in err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("rows", [ONE_BLOCK, 3 * ONE_BLOCK])
+@pytest.mark.parametrize("name", ["same-path", "symlink", "hard-link", "dev-stdout"])
+def test_svg_naming_the_out_file_exits_1_before_any_work(tmp_path, monkeypatch, capfd,
+                                                         name, rows):
+    # Two writers on one file would interleave the CSV and the SVG.
+    monkeypatch.setattr(analysis, "_fallacy", _refuse("a block's arithmetic"))
+    monkeypatch.setattr(os, "fork", _refuse("os.fork"))
+    out = tmp_path / "sweep.csv"
+    svg = {"same-path": out, "symlink": tmp_path / "link.svg",
+           "hard-link": tmp_path / "hard.svg", "dev-stdout": Path("/dev/stdout")}[name]
+    if name == "dev-stdout":
+        out = svg
+    else:
+        out.write_text("")
+        if name == "symlink":
+            svg.symlink_to(out)
+        elif name == "hard-link":
+            svg.hardlink_to(out)
+    argv = ["sweep", "--theta", f"0.01:3.13:{rows}", "--theta-a", "0.2:2.9:4",
+            "--out", str(out), "--svg", str(svg)]
+    assert cli.main(argv) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and str(svg) in captured.err
     _assert_no_child_left()
 
 

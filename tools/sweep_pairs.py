@@ -8,12 +8,15 @@ tree under ``.bench_build/change/``.  For each of P pairs it runs ``python -m
 qopinion sweep`` once per side (the side that runs first alternates) on an
 N x N grid over 0.01..3.13 in theta and theta_a at phi X, with ``--svg``,
 and reads the child's wall time and, through ``os.wait4``, its own max RSS.
-An exec'd child's max RSS starts from its parent's, so this tool imports no
-numpy, and each pair also reads a ``python -c pass`` child: the floor below
-which no reading can fall.  FILE gets, per side, the median and quartiles
-of the wall times and max RSS, the pairs the change won (ties count for
-neither), the floor's spread, and whether the CSV and SVG bytes of the two
-sides were equal in every pair.
+Then, on the same side, it reads ``python -m qopinion run --out`` of a file
+whose one task is the same sweep, without an SVG.  An exec'd child's max
+RSS starts from its parent's, so this tool imports no numpy, and each pair
+also reads a ``python -c pass`` child: the floor below which no reading can
+fall.  FILE gets, per side and for the sweep and (under ``run``) the run,
+the median and quartiles of the wall times and max RSS, the pairs the
+change won (ties count for neither), the floor's spread, and whether the
+bytes were equal in every pair: the sweep's CSV and SVG on the two sides,
+and each run's CSV after its ``# task`` line with its side's sweep CSV.
 """
 
 from __future__ import annotations
@@ -53,30 +56,55 @@ def sweep(tree: Path, size: int, phi: str, out: Path) -> dict:
     axis = f"0.01:3.13:{size}"
     csv, svg = out / "sweep.csv", out / "sweep.svg"
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    run = spawn(["-m", "qopinion", "sweep", "--theta", axis, "--theta-a", axis,
-                 "--phi", phi, "--out", str(csv), "--svg", str(svg)], env)
-    run.update(csv=_digest(csv), svg=_digest(svg))
+    reading = spawn(["-m", "qopinion", "sweep", "--theta", axis, "--theta-a", axis,
+                     "--phi", phi, "--out", str(csv), "--svg", str(svg)], env)
+    reading.update(csv=_digest(csv), svg=_digest(svg))
     csv.unlink()
     svg.unlink()
-    return run
+    return reading
+
+
+def run(tree: Path, size: int, phi: str, out: Path) -> dict:
+    """One ``qopinion run --out`` of a file whose one task is the sweep of
+    :func:`sweep`: :func:`spawn`'s readings and the digest of its CSV after
+    the ``# task`` line, whose file is then removed."""
+    axis = f"0.01:3.13:{size}"
+    qx, csv = out / "sweep.qx", out / "run.csv"
+    qx.write_text("question a\nquestion b from a theta=0.3\n"
+                  f"task sweep pair=a,b theta={axis} theta_a={axis} phi={phi}\n")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    reading = spawn(["-m", "qopinion", "run", str(qx), "--out", str(csv)], env)
+    with open(csv, "rb") as fh:
+        fh.readline()
+        reading["csv"] = hashlib.file_digest(fh, "sha256").hexdigest()
+    csv.unlink()
+    return reading
+
+
+def _compare(base: list[dict], change: list[dict]) -> dict:
+    """Per-metric spread of each side and the change's win count (lower is
+    better for both)."""
+    out = {}
+    for name in METRICS:
+        before, after = [r[name] for r in base], [r[name] for r in change]
+        out[name] = {
+            "base": spread(before), "change": spread(after),
+            "change_wins": sum(a < b for b, a in zip(before, after)),
+        }
+    return out
 
 
 def summarise(runs: dict[str, list[dict]], floor: list[float]) -> dict:
-    """Per-metric spread of each side and the change's win count (lower is
-    better for both), the floor's spread, and the byte comparison."""
-    out = {}
-    for name in METRICS:
-        base = [r[name] for r in runs["base"]]
-        change = [r[name] for r in runs["change"]]
-        out[name] = {
-            "base": spread(base), "change": spread(change),
-            "change_wins": sum(c < b for b, c in zip(base, change)),
-        }
+    """The sweeps' :func:`_compare`, the runs' under ``run``, the floor's
+    spread, and the byte comparison."""
+    base, change = runs["base"], runs["change"]
+    out = _compare(base, change)
+    out["run"] = _compare(*([r["run"] for r in side] for side in (base, change)))
     out["floor_rss_mb"] = spread(floor)
     out["same_bytes"] = {
-        kind: all(b[kind] == c[kind] for b, c in zip(runs["base"], runs["change"]))
-        for kind in ("csv", "svg")
+        kind: all(b[kind] == c[kind] for b, c in zip(base, change)) for kind in ("csv", "svg")
     }
+    out["same_bytes"]["run"] = all(r["run"]["csv"] == r["csv"] for r in base + change)
     return out
 
 
@@ -100,7 +128,9 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         floor.append(spawn(["-c", "pass"], dict(os.environ))["max_rss_mb"])
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            runs[side].append(sweep(trees[side], args.size, args.phi, outputs))
+            reading = sweep(trees[side], args.size, args.phi, outputs)
+            reading["run"] = run(trees[side], args.size, args.phi, outputs)
+            runs[side].append(reading)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
     result = {
