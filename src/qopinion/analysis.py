@@ -5,7 +5,9 @@ blocks of theta rows, so each cell equals :func:`fallacy.fallacy_report`
 for its point bit for bit; :func:`sweep_fallacy_map` is its one block.
 :func:`csv_rows` writes a block's CSV lines, a byte matrix at a time.
 This module, :mod:`heatmap`, :mod:`population` and :mod:`kernels` are the
-package's numpy users; the scalar tasks never import them.
+package's numpy users; the scalar tasks never import them, and nor does a
+``run`` sweep of at most ``cli._POINTWISE_CELLS`` cells, which is computed
+point by point.
 """
 
 from __future__ import annotations

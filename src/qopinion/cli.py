@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 usage error or a file that cannot be opened or
 written (a closed stdout pipe too), 2 experiment-file parse error (also a
 file that is not UTF-8), 3 validation error or out of memory.  All results
-go to the selected output stream as CSV (sections separated by ``# task``
-comment lines when a file contains more than one task); diagnostics go to
-stderr, one line each.  ``run`` and ``simulate`` prepare every task before
-they open the output, then stream it: a task that fails to prepare writes
-nothing, but a failure in the middle of a sweep's arithmetic, such as a
-MemoryError, may leave partial output.  ``sweep`` rejects an ``--svg`` that
-names the ``--out`` file.
+go to the selected output stream as CSV; diagnostics go to stderr, one line
+each.  ``run`` and ``simulate`` start every task's section, the first one
+too, with a ``# task <index> <kind>`` comment line; ``sweep`` writes one
+table without one.  ``run`` and ``simulate`` prepare every task before they
+open the output, then stream it: a task that fails to prepare writes
+nothing, but a failure in the middle of a large sweep's arithmetic, such as
+a MemoryError, may leave partial output.  ``sweep`` rejects an ``--svg``
+that names the ``--out`` file.
 
 The ``qopinion`` command (also ``python -m qopinion``) ends its process
 without the interpreter's teardown once its work is done; code that embeds
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, NoReturn, TextIO
 
 from . import dsl
 from .errors import QOpinionError, ValidationError
-from .fallacy import FallacyReport, fallacy_report, underextension_estimate
+from .fallacy import FallacyReport, classify_regime, fallacy_report, underextension_estimate
 from .measurement import chain_table
 from .observables import (
     BasisRelation,
@@ -51,8 +52,9 @@ from .states import (
 )
 
 # analysis, heatmap and population load numpy, whose import is most of the
-# start-up of a run that needs none: the point-wise tasks.  So the sweep,
-# simulate and uncertainty paths import them on first use.
+# start-up of a run that needs none: the point-wise tasks and a small run
+# sweep (_POINTWISE_CELLS).  So the larger sweeps and the simulate and
+# uncertainty paths import them on first use.
 if TYPE_CHECKING:
     from .analysis import SweepResult
     from .population import PopulationSpec
@@ -180,11 +182,30 @@ def _run_sequence(args: dict, rt: Runtime):
     return [_row("".join(map(str, outcomes)), p) for outcomes, p in table]
 
 
+# A run sweep of at most this many cells is computed at preparation, cell by
+# cell by fallacy_report (each cell's bits, as in the raster), so it loads no
+# numpy.  Numpy's import takes ~0.1 s and a cell ~36 us: on a 2-vCPU Xeon
+# (Python 3.11, numpy 2.4), tools/sweep_pairs.py found the point-wise run faster
+# in 9 of 10 pairs at 52 x 52 cells, in 7 at 56 x 56 and in 2 at 64 x 64.
+_POINTWISE_CELLS = 2500
+
+
 def _run_sweep(args: dict, rt: Runtime):
+    theta, theta_a, phi = args["theta"], args["theta_a"], args["phi"]
+    if theta.steps * theta_a.steps <= _POINTWISE_CELLS:
+        a = Question("a")
+        states = [(t_a, pure_from_angles(t_a, 0.0)) for t_a in theta_a.values()]
+        lines = []
+        for t in theta.values():
+            b, regime = Question("b", BasisRelation(t, phi)), classify_regime(t).value
+            for t_a, state in states:
+                rep = fallacy_report(state, a, b)
+                fields = (getattr(rep, name) for name in _FALLACY_FIELDS)
+                lines.append(_row(t, t_a, phi, *fields, regime))
+        return lines
     from .analysis import sweep_blocks
 
-    theta = args["theta"]
-    blocks = sweep_blocks(theta, args["theta_a"], args["phi"], 0, theta.steps, _CHUNK_ROWS)
+    blocks = sweep_blocks(theta, theta_a, phi, 0, theta.steps, _CHUNK_ROWS)
     return map(_sweep_rows, blocks)
 
 

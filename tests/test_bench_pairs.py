@@ -112,9 +112,36 @@ def test_bench_runs_perfbench_for_the_given_seconds(tmp_path, monkeypatch):
     )]
 
 
+def _write_record(tree: Path, seed: int, walls: dict[str, list[float]]) -> None:
+    """A ``golden_run`` record of ``tree`` at ``seed`` whose invocations ran
+    each stem's file once per wall time, the files in turn as perfbench runs
+    its passes."""
+    runs = [
+        {"args": ["run", f"/bench/inputs/{stem}.qx", "--out", f"{stem}.csv"], "wall_s": wall}
+        for rounds in zip(*walls.values()) for stem, wall in zip(walls, rounds)
+    ]
+    record = tree / ".bench_build" / "perfbench" / f"golden_run-seed{seed}-trace0.json"
+    record.parent.mkdir(parents=True, exist_ok=True)
+    record.write_text(json.dumps({"invocations": runs}))
+
+
+def test_file_walls_are_each_files_median_by_stem(tmp_path):
+    _write_record(tmp_path, 7, {"sweep_grid": [0.3, 0.1, 0.2], "degrees": [0.05, 0.07, 0.06]})
+    assert bench_pairs.file_walls(tmp_path, 7) == {"degrees": 0.06, "sweep_grid": 0.2}
+
+
+# Per golden file and side, the wall times of a stub run's two passes: the
+# change is faster on "sweep" in every pair and ties on "basic".
+STUB_WALLS = {
+    "base": {"basic": [0.1, 0.1], "sweep": [0.5, 0.7]},
+    "change": {"basic": [0.1, 0.1], "sweep": [0.1, 0.3]},
+}
+
+
 def _main_with_stub_runs(tmp_path, monkeypatch) -> tuple[dict, list[float]]:
     """The summary that ``main`` writes for 2 pairs of stub perfbench runs,
-    each reporting 1.0 for every metric, and the seconds each run was given."""
+    each reporting 1.0 for every metric and, for ``golden_run``, the wall
+    times of ``STUB_WALLS``, and the seconds each run was given."""
     record = tmp_path / "change" / ".bench_build" / "perfbench"
     record.mkdir(parents=True)
     (record / f"{WORKLOADS[0]}-seed{bench_pairs.FIRST_SEED}-trace0.json").write_text(
@@ -124,6 +151,8 @@ def _main_with_stub_runs(tmp_path, monkeypatch) -> tuple[dict, list[float]]:
 
     def bench(tree, workload, seed, trace, run_seconds):
         seconds.append(run_seconds)
+        if workload == "golden_run" and trace == 0:
+            _write_record(tree, seed, STUB_WALLS[tree.name])
         names = [m["name"] for m in SPEC["end_to_end"]]
         return {"failed": 0, "attempted": 1, "metrics": {n: {"value": 1.0} for n in names}}
 
@@ -149,3 +178,15 @@ def test_python_settings_are_recorded_as_set(tmp_path, monkeypatch):
     result, _ = _main_with_stub_runs(tmp_path, monkeypatch)
     assert result["python_env"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": None}
     assert result["environment"] == {"python": "3"}
+
+
+def test_golden_run_is_summarised_per_file(tmp_path, monkeypatch):
+    result, _ = _main_with_stub_runs(tmp_path, monkeypatch)
+    files = result["workloads"]["golden_run"]["files"]
+    assert files == {
+        "basic": {"base": bench_pairs.spread([0.1, 0.1]),
+                  "change": bench_pairs.spread([0.1, 0.1]), "change_wins": 0},
+        "sweep": {"base": bench_pairs.spread([0.6, 0.6]),
+                  "change": bench_pairs.spread([0.2, 0.2]), "change_wins": 2},
+    }
+    assert [w for w, out in result["workloads"].items() if "files" in out] == ["golden_run"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import qopinion.analysis  # noqa: F401 - numpy's import is not a run's to trace
-from qopinion import FallacyReport, dsl, heatmap
+from qopinion import FallacyReport, cli, dsl, heatmap
 from qopinion.cli import SWEEP_HEADER, execute_tasks, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,6 +118,28 @@ def test_run_reproduces_golden_csv_bytes(tmp_path, qx):
     out = tmp_path / "out.csv"
     assert main(["run", str(qx), "--out", str(out)]) == 0
     assert out.read_bytes() == qx.with_suffix(".csv").read_bytes()
+
+
+# Axes that hold the angles where interference vanishes and zeros are signed
+# (0, -0.0, -pi/2, pi/2, pi, 2pi) and a tiny one, at phases that include -0.0.
+EDGE_AXES = ["0:2pi:5", "-0.0:-pi:3", "1e-9:pi/2:2"]
+EDGE_PHIS = ["0", "-0.0", "0.3", "pi/2", "pi", "-2", "3pi/2"]
+
+
+@pytest.mark.parametrize("phi", EDGE_PHIS)
+def test_point_wise_and_block_sweeps_write_the_same_bytes(monkeypatch, phi):
+    # A small run sweep is computed cell by cell, a large one in blocks; the
+    # text is compared whole, since float == cannot tell -0 from 0.
+    spec = dsl.parse("question a\nquestion b from a theta=0.3\n" + "".join(
+        f"task sweep pair=a,b theta={theta} theta_a={theta_a} phi={phi}\n"
+        for theta, theta_a in itertools.product(EDGE_AXES, repeat=2)
+    ))
+    texts = []
+    for cells in (0, 10**9):  # every sweep in blocks, then every sweep point-wise
+        monkeypatch.setattr(cli, "_POINTWISE_CELLS", cells)
+        texts.append(execute_tasks(spec))
+    assert ",-0," in texts[0]
+    assert texts[0] == texts[1]
 
 
 # The command ends its process without the interpreter's final flush, so

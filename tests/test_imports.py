@@ -1,9 +1,10 @@
 """The numpy import boundary and the package API that serves it lazily.
 
-The point-wise tasks (fallacy, sequence, underextension) are scalar code:
+The point-wise tasks (fallacy, sequence, underextension) are scalar code,
+and so is a ``run`` sweep of at most ``cli._POINTWISE_CELLS`` cells:
 importing the package or the CLI, or running a file of such tasks, must not
-load numpy.  The sweep, uncertainty and simulate paths must; no simulation
-loads logging.  ``import qopinion`` itself loads no submodule: each public
+load numpy.  A larger sweep and the uncertainty and simulate paths must; no
+simulation loads logging.  ``import qopinion`` itself loads no submodule: each public
 name is imported on first access.  Each import check runs in a fresh
 interpreter, since this one has long since loaded numpy and the package.
 """
@@ -29,9 +30,11 @@ NUMPY_FREE = [
     "mixed_sequence",
     "reverse_point",
     "sequence_three",
+    "sweep_grid",
+    "sweep_phi",
     "underextension",
 ]
-NUMPY_USERS = ["sweep_grid", "uncertainty", "simulate_population"]
+NUMPY_USERS = ["uncertainty", "simulate_population"]
 
 # qopinion.__all__ by home module; the package also exports these modules.
 EXPORTS = {
@@ -135,6 +138,24 @@ def test_point_wise_file_does_not_load_numpy(stem):
 @pytest.mark.parametrize("stem", NUMPY_USERS)
 def test_array_file_loads_numpy(stem):
     assert _loads("numpy", _run_file(stem))
+
+
+def _sweep_file(tmp_path, rows: int, cols: int) -> str:
+    path = tmp_path / f"sweep_{rows}x{cols}.qx"
+    path.write_text("question a\nquestion b from a theta=0.3\n"
+                    f"task sweep pair=a,b theta=0.01:3.13:{rows} theta_a=0.01:3.13:{cols}\n")
+    return (
+        "from qopinion import cli\n"
+        f"assert cli.main(['run', {str(path)!r}, '--out', {os.devnull!r}]) == 0"
+    )
+
+
+def test_run_sweep_loads_numpy_only_past_the_point_wise_cells(tmp_path):
+    cells = cli._POINTWISE_CELLS
+    rows = next((d for d in range(2, cells) if cells % d == 0), cells)
+    assert cells // rows >= 2, "no raster of exactly that many cells"
+    assert not _loads("numpy", _sweep_file(tmp_path, rows, cells // rows))
+    assert _loads("numpy", _sweep_file(tmp_path, 2, cells // 2 + 1))
 
 
 def test_simulation_starts_a_thread_only_past_one_chunk(monkeypatch, tmp_path):

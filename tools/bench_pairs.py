@@ -15,7 +15,11 @@ later passes, for one, report a higher ``peak_rss_mb`` than its first.
 FILE gets T, and per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's values, median and quartiles and the number of pairs the
 change won (ties count for neither), failed/attempted invocations per
-side, the traced per-layer metrics and the environment block.  It also
+side, the traced per-layer metrics and the environment block.  Under
+``golden_run``'s ``files`` it gets the same spreads and win counts for each
+golden file, from the median wall time of that file's invocations in each
+run (read from the run's record, ``.bench_build/perfbench/golden_run-seed<S>-
+trace0.json`` in its tree), so a gain shows on the files it comes from.  It also
 gets the lines of ``src/`` that the change adds and removes against REV,
 the net count, and the Python settings of ``PYTHON_ENV`` as this process
 had them (null when unset), which every child inherits: without a bytecode
@@ -40,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 41
+PER_FILE = "golden_run"  # the workload whose invocations are summarised per file
 PYTHON_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED")
 
 
@@ -105,19 +110,40 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def compare(base: list[float], change: list[float], lower: bool = True) -> dict:
+    """Each side's spread and the pairs the change won (ties count for neither)."""
+    wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+    return {"base": spread(base), "change": spread(change), "change_wins": wins}
+
+
 def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     """Per-metric spread of each side and the change's win count."""
     out = {}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
-        base = [r["metrics"][name]["value"] for r in runs["base"]]
-        change = [r["metrics"][name]["value"] for r in runs["change"]]
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        out[name] = {
-            "unit": m["unit"], "better": m["better"],
-            "base": spread(base), "change": spread(change), "change_wins": wins,
-        }
+        name = m["name"]
+        base, change = ([r["metrics"][name]["value"] for r in runs[side]]
+                        for side in ("base", "change"))
+        out[name] = {"unit": m["unit"], "better": m["better"],
+                     **compare(base, change, m["better"] == "lower")}
     return out
+
+
+def file_walls(tree: Path, seed: int) -> dict[str, float]:
+    """Median wall seconds of each file's invocations in the ``PER_FILE``
+    run of ``tree`` at ``seed``, keyed by the stem of the file it ran."""
+    record = tree / ".bench_build" / "perfbench" / f"{PER_FILE}-seed{seed}-trace0.json"
+    walls: dict[str, list[float]] = {}
+    for inv in json.loads(record.read_text())["invocations"]:
+        walls.setdefault(Path(inv["args"][1]).stem, []).append(inv["wall_s"])
+    return {stem: statistics.median(w) for stem, w in sorted(walls.items())}
+
+
+def summarise_files(walls: dict[str, list[dict[str, float]]]) -> dict:
+    """Per file, :func:`compare` of the sides' per-run medians."""
+    return {
+        stem: compare(*([run[stem] for run in walls[side]] for side in ("base", "change")))
+        for stem in walls["base"][0]
+    }
 
 
 def main(argv=None) -> int:
@@ -136,11 +162,14 @@ def main(argv=None) -> int:
     trees = {"base": extract(commit, f"base-{commit[:12]}"), "change": snapshot()}
     src_lines = line_counts(_git("diff", "--numstat", commit, worktree(), "--", "src"))
     runs = {w: {"base": [], "change": []} for w in workloads}
+    walls: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for w in workloads:
             for side in order:
                 runs[w][side].append(bench(trees[side], w, FIRST_SEED + i, 0, seconds))
+                if w == PER_FILE:
+                    walls[side].append(file_walls(trees[side], FIRST_SEED + i))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     traced = {side: bench(tree, "all", FIRST_SEED, 1, seconds) for side, tree in trees.items()}
 
@@ -163,6 +192,7 @@ def main(argv=None) -> int:
                     for side, rs in runs[w].items()
                 },
                 "metrics": summarise(spec["end_to_end"], runs[w]),
+                **({"files": summarise_files(walls)} if w == PER_FILE else {}),
             }
             for w in workloads
         },

@@ -29,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, _git, extract, snapshot, spread
+from bench_pairs import ROOT, _git, compare, extract, snapshot, spread
 
 METRICS = ("wall_s", "max_rss_mb")
 
@@ -82,16 +82,9 @@ def run(tree: Path, size: int, phi: str, out: Path) -> dict:
 
 
 def _compare(base: list[dict], change: list[dict]) -> dict:
-    """Per-metric spread of each side and the change's win count (lower is
-    better for both)."""
-    out = {}
-    for name in METRICS:
-        before, after = [r[name] for r in base], [r[name] for r in change]
-        out[name] = {
-            "base": spread(before), "change": spread(after),
-            "change_wins": sum(a < b for b, a in zip(before, after)),
-        }
-    return out
+    """Per-metric :func:`compare` of the sides (lower is better for both)."""
+    return {name: compare([r[name] for r in base], [r[name] for r in change])
+            for name in METRICS}
 
 
 def summarise(runs: dict[str, list[dict]], floor: list[float]) -> dict:
