@@ -16,10 +16,9 @@ P(a_1) P(b_1 | a_1), the conjunction-fallacy signature; a positive one can
 push it above by more than classically possible (the reverse fallacy).
 
 Convention note: the basis transformation used everywhere maps a real state
-with amplitude angle t_a to angle t_a + theta in the rotated basis.  The
-closed-form fallacy inequalities below are derived under that same
-convention, so they agree with the direct probability computation on every
-non-singular point.
+with amplitude angle t_a to angle t_a + theta in the rotated basis, so the
+one closed form of :func:`closed_form_fallacy`, valid for any pure state and
+phase, reads at phi = 0 as :func:`fallacy_inequalities` gives it.
 
 This module is scalar ``math``/``cmath`` code and never imports numpy; the
 raster over many points, :mod:`analysis`, runs the same arithmetic on arrays.
@@ -43,7 +42,7 @@ from .observables import (
     relative_relation,
     rotate_amplitudes,
 )
-from .states import MixedState, PureState, density_from_pure
+from .states import MixedState, PureState, _check_finite, density_from_pure, pure_from_angles
 
 FALLACY_GUARD = 1e-12
 POLE_GUARD = 1e-9
@@ -225,33 +224,32 @@ def fallacy_report(s: PureState, a: Question, b: Question) -> FallacyReport:
     )
 
 
-def fallacy_inequalities(theta_a: float, theta: float) -> tuple[bool, bool]:
-    """Closed-form fallacy conditions for real amplitudes (phi = 0).
-
-    b side:  1 + 2 tan(theta_a) cotan(theta) < 0
-    a side:  1 - 2 tan(theta_a + theta) cotan(theta) < 0
-
-    The a side uses the rotated amplitude angle theta_a + theta produced by
-    the basis transformation used everywhere in this package; with it both
-    sides agree with :func:`fallacy_report` (acceptance criterion 5).  The
-    paper prints the a side with theta_a - theta instead.  That printed form
-    has the same b side but flags the a side differently on 28745 of the
-    65536 cells of the criterion-5 raster, and it is both-true on 7957 of
-    them, where the direct flags never are; acceptance criterion 6 pins
-    this.  Raises :class:`SingularityError` within 1e-9 of any tan/cotan
-    pole.
+def closed_form_fallacy(s: PureState, x: Question, y: Question) -> bool:
+    """Whether asking ``x`` then ``y`` shows the fallacy, by the closed form
+    1 + 2 Re[(g1 / g0) e^{-i p}] cot(t) < 0: (g0, g1) are ``s`` in x's basis,
+    (t, p) = relative_relation(x, y), and the form is :func:`_split`'s margin
+    over |g0|^2 sin^2(t).  SingularityError within 1e-9 of g0 = 0 or sin t = 0.
     """
-    cos_a = math.cos(theta_a)
-    sin_t = math.sin(theta)
-    cos_ab = math.cos(theta_a + theta)
-    if abs(cos_a) < POLE_GUARD or abs(sin_t) < POLE_GUARD or abs(cos_ab) < POLE_GUARD:
-        raise SingularityError(
-            f"tan/cotan pole near theta_a={theta_a!r}, theta={theta!r}"
-        )
-    cot_t = math.cos(theta) / sin_t
-    b_side = 1.0 + 2.0 * math.tan(theta_a) * cot_t < 0.0
-    a_side = 1.0 - 2.0 * math.tan(theta_a + theta) * cot_t < 0.0
-    return b_side, a_side
+    g0, g1 = rotate_amplitudes(s.amp0, s.amp1, *_rotation_terms(x.relation_to_reference))
+    rel = relative_relation(x, y)
+    sin_t = math.sin(rel.theta)
+    if abs(g0) < POLE_GUARD or abs(sin_t) < POLE_GUARD:
+        raise SingularityError(f"closed form has a pole at g0={g0!r}, sin(t)={sin_t!r}")
+    shift = (g1 / g0 * cmath.exp(-1j * rel.phi)).real
+    return 1.0 + 2.0 * shift * math.cos(rel.theta) / sin_t < 0.0
+
+
+def fallacy_inequalities(theta_a: float, theta: float) -> tuple[bool, bool]:
+    """:func:`closed_form_fallacy` on (a, b) and on (b, a) for the real state
+    at angle ``theta_a`` and b at (``theta``, 0): at phi = 0 the b side reads
+    1 + 2 tan(theta_a) cot(theta) < 0 and the a side, where p = pi,
+    1 - 2 tan(theta_a + theta) cot(theta) < 0, as :func:`fallacy_report`
+    (acceptance criterion 5).  The paper's printed a side, with theta_a - theta,
+    is both-true where the direct flags never are (acceptance criterion 6).
+    """
+    s = pure_from_angles(theta_a, 0.0)
+    a, b = Question("a"), Question("b", BasisRelation(theta, 0.0))
+    return closed_form_fallacy(s, a, b), closed_form_fallacy(s, b, a)
 
 
 def classify_regime(theta: float) -> RegimeClass:
@@ -259,6 +257,7 @@ def classify_regime(theta: float) -> RegimeClass:
 
     Band edges are assigned to the lower class so rasters are reproducible.
     """
+    _check_finite("classify_regime", theta)
     t = theta % math.pi
     if t <= math.pi / 8.0:
         return RegimeClass.CORRELATED

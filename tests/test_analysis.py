@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import random
@@ -30,7 +31,7 @@ from qopinion import (
 )
 from qopinion.analysis import GridRange, sweep_blocks
 from qopinion import fallacy
-from qopinion.fallacy import FALLACY_GUARD
+from qopinion.fallacy import FALLACY_GUARD, closed_form_fallacy
 from qopinion.oracle import brute_force_outcome_probability
 
 A = Question("a")
@@ -139,6 +140,73 @@ def test_fallacy_inequalities_singularities():
         fallacy_inequalities(1.0, math.pi / 2 - 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fallacy_inequalities_reject_non_finite_angles(bad):
+    with pytest.raises(ValidationError):
+        fallacy_inequalities(bad, 0.3)
+    with pytest.raises(ValidationError):
+        fallacy_inequalities(0.3, bad)
+
+
+@pytest.mark.parametrize(
+    "phi, b_flags, a_flags",
+    [(0.3, 20608, 20635), (math.pi / 2, 0, 18663), (2.5, 19497, 20387)],
+)
+def test_closed_form_matches_direct_flags_at_every_phase(phi, b_flags, a_flags):
+    # Criterion 5's raster away from phi = 0.  The sweep's flags are
+    # fallacy_report's bit for bit (test_sweep_matches_scalar_report).
+    grid = GridRange(0.01, 3.13, 256)
+    sweep = sweep_fallacy_map(grid, grid, phi)
+    states = [pure_from_angles(theta_a, 0.0) for theta_a in grid.values()]
+    closed = np.array([
+        [(closed_form_fallacy(s, A, b), closed_form_fallacy(s, b, A)) for s in states]
+        for b in (Question("b", BasisRelation(theta, phi)) for theta in grid.values())
+    ])
+    assert np.array_equal(closed[:, :, 0], sweep.fallacy_b)
+    assert np.array_equal(closed[:, :, 1], sweep.fallacy_a)
+    # At phi = pi/2 a real state's b-side form reads 1 < 0: no b-side fallacy.
+    assert int(np.count_nonzero(sweep.fallacy_b)) == b_flags
+    assert int(np.count_nonzero(sweep.fallacy_a)) == a_flags
+
+
+def _literal_margin(s, x, y):
+    """1 - 2 Re[g1 <x0|y0> / (g0 <x1|y0>)] with g_j = <x_j|s>: negative iff
+    asking x then y shows the fallacy.  The eigenvectors are written from the
+    declared (theta, phi) as ``oracle._projector`` writes them, with no basis
+    change or relative relation."""
+
+    def ket(q, j):
+        t, p = q.relation_to_reference.theta, q.relation_to_reference.phi
+        if j == 0:
+            return complex(math.cos(t)), -math.sin(t) * cmath.exp(1j * p)
+        return math.sin(t) * cmath.exp(-1j * p), complex(math.cos(t))
+
+    def bra_ket(u, v):
+        return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
+
+    x0, x1, y0 = ket(x, 0), ket(x, 1), ket(y, 0)
+    g0, g1 = bra_ket(x0, (s.amp0, s.amp1)), bra_ket(x1, (s.amp0, s.amp1))
+    return 1.0 - 2.0 * (g1 * bra_ket(x0, y0) / (g0 * bra_ket(x1, y0))).real
+
+
+def test_closed_form_matches_literal_form_for_complex_states():
+    rng = random.Random(25)
+    compared = 0
+    for _ in range(5000):
+        s = pure_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        x = Question("x", BasisRelation(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+        local = BasisRelation(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        y = Question("y", compose_relations(x.relation_to_reference, local))
+        rep = fallacy_report(s, x, y)
+        for first, second, direct in ((x, y, rep.fallacy_b), (y, x, rep.fallacy_a)):
+            margin = _literal_margin(s, first, second)
+            if abs(margin) < 1e-9:
+                continue
+            assert closed_form_fallacy(s, first, second) == (margin < 0.0) == direct
+            compared += 1
+    assert compared > 9900
+
+
 def test_classify_regime_bands():
     assert classify_regime(0.0) is RegimeClass.CORRELATED
     assert classify_regime(math.pi / 8) is RegimeClass.CORRELATED
@@ -149,6 +217,9 @@ def test_classify_regime_bands():
     assert classify_regime(math.pi / 2) is RegimeClass.ANTICORRELATED
     # Angles wrap modulo pi before banding.
     assert classify_regime(math.pi + 0.1) is RegimeClass.CORRELATED
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            classify_regime(bad)
 
 
 def test_grid_range():

@@ -63,8 +63,14 @@ def test_summarise_counts_wins_in_the_better_direction_and_ties_for_neither():
 
 def test_line_counts_sum_numstat_rows_and_skip_binary_files():
     numstat = "12\t40\tsrc/qopinion/cli.py\n3\t0\tsrc/qopinion/new file.py\n-\t-\tsrc/logo.png\n"
-    assert bench_pairs.line_counts(numstat) == {"added": 15, "removed": 40, "net": -25}
-    assert bench_pairs.line_counts("") == {"added": 0, "removed": 0, "net": 0}
+    assert bench_pairs.line_counts(numstat) == {
+        "added": 15, "removed": 40, "net": -25,
+        "files": {
+            "src/qopinion/cli.py": {"added": 12, "removed": 40, "net": -28},
+            "src/qopinion/new file.py": {"added": 3, "removed": 0, "net": 3},
+        },
+    }
+    assert bench_pairs.line_counts("") == {"added": 0, "removed": 0, "net": 0, "files": {}}
 
 
 def test_change_side_is_a_snapshot_of_the_working_tree(tmp_path, monkeypatch):

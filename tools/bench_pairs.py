@@ -84,12 +84,16 @@ def snapshot() -> Path:
 
 
 def line_counts(numstat: str) -> dict:
-    """Lines ``added`` and ``removed`` in ``git diff --numstat`` output, and
-    their ``net`` difference.  A binary file, listed as "-", counts none."""
-    rows = re.findall(r"^(\d+)\t(\d+)\t", numstat, re.MULTILINE)
-    added = sum(int(a) for a, _ in rows)
-    removed = sum(int(r) for _, r in rows)
-    return {"added": added, "removed": removed, "net": added - removed}
+    """Lines ``added`` and ``removed`` in ``git diff --numstat`` output, their
+    ``net`` difference, and the same three counts per path under ``files``.
+    A binary file, listed as "-", counts none and is not listed."""
+    files = {
+        path: {"added": int(a), "removed": int(r), "net": int(a) - int(r)}
+        for a, r, path in re.findall(r"^(\d+)\t(\d+)\t(.*)$", numstat, re.MULTILINE)
+    }
+    added = sum(f["added"] for f in files.values())
+    removed = sum(f["removed"] for f in files.values())
+    return {"added": added, "removed": removed, "net": added - removed, "files": files}
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
