@@ -21,6 +21,9 @@ option value exits 1.
     task underextension state=NAME pair=NAME,NAME
     task uncertainty pair=NAME,NAME steps=INT
 
+A population's fractions are finite, non-negative and sum to 1 within 1e-9,
+as :func:`states.mix`'s weights do; a violation is a parse error (exit 2).
+
 A sweep's ``pair=`` names two declared questions but does not enter the
 output: the grid sets b's relation to a (``theta``, ``phi``) and the state
 (``theta_a``), and the raster does not depend on the frame, so ``pair=a,b``
@@ -37,6 +40,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import QOpinionError, ValidationError
+from .states import _check_weights
 
 
 @dataclass(frozen=True)
@@ -300,9 +304,10 @@ class _Parser:
             components.append((frac, state_name))
         if len(terms) % 2 == 0:
             self.fail(terms[-1][1], "trailing '+' in population")
-        total = sum(f for f, _ in components)
-        if abs(total - 1.0) > 1e-9:
-            self.fail(terms[0][1], f"fractions sum to {total!r}, expected 1")
+        try:
+            _check_weights("fraction", [f for f, _ in components])
+        except ValidationError as exc:
+            self.fail(terms[0][1], str(exc))
         self.populations.append(PopulationDecl(name, tuple(components)))
 
     def parse_task(self, toks):

@@ -8,7 +8,6 @@ answers never carry over between the two tasks.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .fallacy import FALLACY_GUARD
 from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
 from .observables import Question, conditional_probability
-from .states import MixedState, PureState, _as_density
+from .states import MixedState, PureState, _as_density, _check_weights
 
 
 @dataclass(frozen=True)
@@ -31,26 +30,12 @@ class PopulationComponent:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Labeled mixture of preparations with fractions summing to one."""
+    """Labeled mixture of preparations; fractions obey :func:`states._check_weights`."""
 
     components: tuple[PopulationComponent, ...]
 
     def __post_init__(self) -> None:
-        if not self.components:
-            raise ValidationError("population needs at least one component")
-        total = 0.0
-        for comp in self.components:
-            if not math.isfinite(comp.fraction):
-                raise ValidationError(
-                    f"non-finite fraction {comp.fraction!r} for {comp.label!r}"
-                )
-            if comp.fraction < 0.0:
-                raise ValidationError(
-                    f"negative fraction {comp.fraction!r} for {comp.label!r}"
-                )
-            total += comp.fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"fractions sum to {total!r}, expected 1")
+        _check_weights("fraction", [c.fraction for c in self.components])
 
 
 # Rows of uniforms per draw: memory stays O(chunk) whatever the agent count.

@@ -29,6 +29,23 @@ def _check_finite(label: str, *values: complex) -> None:
             raise ValidationError(f"{label}: non-finite component {v!r}")
 
 
+def _check_weights(kind: str, weights: list[float]) -> float:
+    """Sum of a mixture's weights, checked to be one or more, finite, non-negative
+    and summing to 1 within ``WEIGHT_TOL``; ``kind`` names a weight in errors."""
+    if not weights:
+        raise ValidationError(f"need at least one {kind}")
+    total = 0.0
+    for w in weights:
+        if not math.isfinite(w):
+            raise ValidationError(f"non-finite {kind} {w!r}")
+        if w < 0.0:
+            raise ValidationError(f"negative {kind} {w!r}")
+        total += w
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValidationError(f"{kind}s sum to {total!r}, expected 1")
+    return total
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized two-component opinion vector (amp0, amp1).
@@ -142,20 +159,11 @@ def _as_density(state: PureState | MixedState) -> MixedState:
 def mix(components: list[tuple[float, MixedState]]) -> MixedState:
     """Convex combination of density matrices.
 
-    Weights must be non-negative and sum to one within 1e-9; they are
-    renormalized by their exact sum so the result's trace is 1 to
-    floating precision.
+    The weights obey :func:`_check_weights`, the rule every mixture here
+    obeys; they are renormalized by their exact sum so the result's trace
+    is 1 to floating precision.
     """
-    if not components:
-        raise ValidationError("mix: empty component list")
-    total = 0.0
-    for weight, _ in components:
-        _check_finite("mix weight", weight)
-        if weight < 0.0:
-            raise ValidationError(f"mix: negative weight {weight!r}")
-        total += weight
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValidationError(f"mix: weights sum to {total!r}, expected 1")
+    total = _check_weights("mix weight", [w for w, _ in components])
     m00 = sum(w * rho.m00 for w, rho in components) / total
     m11 = sum(w * rho.m11 for w, rho in components) / total
     m01 = sum(w * rho.m01 for w, rho in components) / total

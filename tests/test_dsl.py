@@ -252,13 +252,14 @@ def test_non_finite_numbers_rejected_with_location(line):
         ("state t pure basis=a theta_a=nope # typo", "nope", "malformed number 'nope'"),
         ("    state m mixed basis=b p1=1.5", "1.5", "p1 must lie in [0, 1], got 1.5"),
         ("population p = 0.5*s + 0.5*ghost  # ghost", "ghost", 'unresolved reference "ghost"'),
+        ("population p = 1.5*s + -0.5*s", "1.5*s", "negative fraction -0.5"),
         ("\ttask fallacy state=s pair=a,zz", "a,zz", 'unresolved reference "zz"'),
         ("task sweep pair=a,b theta=0:1:1 theta_a=0:1:4  # one step", "0:1:1",
          "grid needs at least 2 steps, got 1"),
         ("  observe a  # not a directive", "observe", "unknown directive 'observe'"),
     ],
-    ids=["question", "state-pure", "state-mixed", "population", "task", "task-range",
-         "unknown-directive"],
+    ids=["question", "state-pure", "state-mixed", "population", "population-negative", "task",
+         "task-range", "unknown-directive"],
 )
 def test_diagnostic_cites_the_raw_line_and_token(bad, token, message):
     text = (

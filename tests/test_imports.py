@@ -106,6 +106,19 @@ def test_import_loads_no_submodule():
     assert _fresh(probe).split() == []
 
 
+def test_oracle_loads_only_the_modules_it_checks_against():
+    # The oracle is written apart from the code it checks: it shares states,
+    # questions and errors with it, and no probability or array code.
+    probe = (
+        "import sys, qopinion.oracle\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qopinion.')))\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _fresh(probe).split() == [
+        "qopinion.errors", "qopinion.observables", "qopinion.oracle", "qopinion.states", "False",
+    ]
+
+
 def test_scalar_name_does_not_load_numpy():
     assert not _loads("numpy", "from qopinion import fallacy_report")
 

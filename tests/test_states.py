@@ -105,6 +105,10 @@ def test_mix_validates_weights():
         mix([(-0.1, rho), (1.1, rho)])
     with pytest.raises(ValidationError):
         mix([(0.5, rho), (0.6, rho)])
+    # nan passes both "< 0" and "|sum - 1| > tol" unless checked itself.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="non-finite mix weight"):
+            mix([(bad, rho), (1.0, rho)])
 
 
 def test_mix_renormalizes_to_exact_trace():

@@ -85,6 +85,8 @@ def test_main_alternates_the_sides_and_reads_the_floor_each_pair(tmp_path, monke
     monkeypatch.setattr(sweep_pairs, "extract", lambda treeish, name: tmp_path / "base")
     monkeypatch.setattr(sweep_pairs, "snapshot", lambda: tmp_path / "change")
     monkeypatch.setattr(sweep_pairs, "_git", lambda *args: "0" * 40)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     out = tmp_path / "pairs.json"
     argv = ["--base", "HEAD", "--size", "64", "--pairs", "2", "--phi", "0", "--out", str(out)]
     assert sweep_pairs.main(argv) == 0
@@ -100,6 +102,7 @@ def test_main_alternates_the_sides_and_reads_the_floor_each_pair(tmp_path, monke
     assert result["run"]["wall_s"]["change_wins"] == 0
     assert result["floor_rss_mb"]["median"] == 12.0
     assert result["same_bytes"] == {"csv": True, "svg": True, "run": True}
+    assert result["python_env"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": None}
 
 
 def test_run_reading_is_the_sweep_csv_after_its_marker_line(tmp_path):

@@ -17,6 +17,8 @@ the median and quartiles of the wall times and max RSS, the pairs the
 change won (ties count for neither), the floor's spread, and whether the
 bytes were equal in every pair: the sweep's CSV and SVG on the two sides,
 and each run's CSV after its ``# task`` line with its side's sweep CSV.
+It also gets the Python settings of ``bench_pairs.PYTHON_ENV`` as this
+process had them (null when unset), which every child inherits.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, _git, compare, extract, snapshot, spread
+from bench_pairs import PYTHON_ENV, ROOT, _git, compare, extract, snapshot, spread
 
 METRICS = ("wall_s", "max_rss_mb")
 
@@ -136,6 +138,7 @@ def main(argv=None) -> int:
         "phi": args.phi,
         "pairs": args.pairs,
         **summarise(runs, floor),
+        "python_env": {name: os.environ.get(name) for name in PYTHON_ENV},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
