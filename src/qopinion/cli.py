@@ -483,7 +483,7 @@ def _exit(code: int) -> NoReturn:
     """Flush stderr and end the process with ``code`` at once: no atexit
     hooks, no final flush of stdout and no teardown of numpy and the
     package, which takes tens of milliseconds.  Every output file is closed
-    and every thread joined by then."""
+    and every worker process reaped by then."""
     try:
         sys.stderr.flush()
     finally:

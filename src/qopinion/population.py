@@ -3,17 +3,21 @@
 A population is a convex mixture of labeled preparations.  Each simulated
 agent is assigned a preparation, then answers both ordered question
 sequences (A then B, and B then A) on fresh copies of that preparation:
-answers never carry over between the two tasks.
+answers never carry over between the two tasks.  A large simulation shares
+its agents with one forked worker process, which it reaps before it returns.
 """
 
 from __future__ import annotations
 
-import threading
+import os
+import pickle
+import signal
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import QOpinionError, ValidationError
 from .fallacy import FALLACY_GUARD
 from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
@@ -39,11 +43,27 @@ class PopulationSpec:
 
 
 # Rows of uniforms per draw: memory stays O(chunk) whatever the agent count.
-# At 10^7 agents 2^14-2^16 rows ran faster than 2^18-2^20.  Two spans draw at
-# once, so 2^15 rows (1.25 MB) each keep 2.5 MB of uniforms in flight; a run
-# below 2^15 agents (the golden file's 20,000) is one chunk and starts no
-# thread.
-_CHUNK_ROWS = 1 << 15
+# Each process draws into one reused buffer of this many rows (640 KiB).  At
+# 10^7 agents in process (2 vCPUs, best of 15), 2^14 rows counted fastest: 292
+# ms in one process and 165 ms forked, against 329/177 ms at 2^13 and 311/196
+# ms at 2^15.  A fresh `qopinion simulate` of 10^7 agents peaks at ~36.2 MB max
+# RSS; two 2^15-row chunks on two threads took ~39 MB.
+_CHUNK_ROWS = 1 << 14
+
+# A run of more than this many agents forks one worker, and the two processes
+# take its agents from one pipe of claims.  Against the same code without the
+# fork (fresh `qopinion simulate` runs, 10 alternating pairs a run, 2 vCPUs),
+# the fork won 7 and 0 pairs at 10^6 agents, 10 at 4*10^6 (inside the
+# one-process quartile spread), 10 at 6*10^6 (beyond it), 10 and 10 at
+# 8*10^6 + 1 (beyond it in one run of the two) and 10 and 10 at 10^7 (beyond
+# it in both).
+_SPLIT_AGENTS = 8_000_000
+
+# At most this many claims, 4 bytes each: 4 KiB, written to the pipe at once
+# (PIPE_BUF), so no claim is ever half written and the pipe never fills.  A
+# claim is a span of whole chunks; either process takes the next one as soon
+# as it is free, so neither waits for the other's half on a busy core.
+_CLAIMS = 1024
 
 
 @dataclass(frozen=True)
@@ -130,19 +150,53 @@ def predicted_fallacy_rate(pop: PopulationSpec, a: Question, b: Question) -> flo
     return rate
 
 
-def _count_span(model, seed: int, lo: int, hi: int):
-    """Joint code counts of agents [lo, hi): rows [lo, hi) of the seed's
-    stream, drawn in chunks.  A float64 draw takes exactly one PCG64 step, so
-    advancing by ``5 * lo`` steps starts at row ``lo``."""
+def _count_spans(model, seed: int, spans):
+    """Joint code counts of the agents in ``spans``, (lo, hi) pairs in
+    increasing order: rows [lo, hi) of the seed's stream, drawn in chunks into
+    one buffer.  A float64 draw takes exactly one PCG64 step, so advancing by
+    5 steps a row skips to the next span's first row."""
     bits = np.random.PCG64(seed)
-    bits.advance(5 * lo)
     rng = np.random.Generator(bits)
+    buf = np.empty((_CHUNK_ROWS, 5))
     joint = np.zeros(16, dtype=np.int64)
-    for start in range(lo, hi, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, hi - start)
-        codes = simulate_answers(rng.random((rows, 5)), *model)
-        joint += np.bincount(codes, minlength=16)
+    row = 0
+    for lo, hi in spans:
+        bits.advance(5 * (lo - row))
+        for start in range(lo, hi, _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, hi - start)
+            codes = simulate_answers(rng.random(out=buf[:rows]), *model)
+            joint += np.bincount(codes, minlength=16)
+        row = hi
     return joint
+
+
+def _claimed(claims, size: int, n_agents: int):
+    """The spans of ``size`` agents whose indices this process reads from the
+    unbuffered pipe ``claims``, one 4-byte read each, until it is empty."""
+    while claim := claims.read(4):
+        lo = int.from_bytes(claim, "little") * size
+        yield lo, min(lo + size, n_agents)
+
+
+def _count_in_worker(pipe, model, seed: int, spans) -> NoReturn:
+    """The forked worker's whole life: write the counts of ``spans``, or the
+    pickled exception that ended them, to ``pipe``, then leave by
+    ``os._exit`` (0 after the counts, else 1).  It never returns to the
+    caller's code and flushes no buffer it inherited.  It runs element-wise
+    numpy and the generator only, never a BLAS routine, so the BLAS threads
+    that the fork does not copy are never missed."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
+        try:
+            data = _count_spans(model, seed, spans).tobytes()
+            code = 0
+        except BaseException as exc:  # raised again by the caller
+            data = pickle.dumps(exc)
+        pipe.write(data)
+        pipe.flush()
+    finally:
+        os._exit(code)
 
 
 def simulate_population(
@@ -153,39 +207,49 @@ def simulate_population(
     The uniform variates are the rows of one (n, 5) draw from
     ``default_rng(seed)``, so runs are bit-reproducible for a given seed.
     They are drawn in chunks of at most ``_CHUNK_ROWS`` rows, so memory does
-    not grow with ``n_agents``.  A run of more than one chunk is split into
-    two contiguous spans: this thread counts the lower half of the chunks
-    (rounded up) while one worker thread counts the rest from its own
-    generator, advanced to its first row.  The kernel turns each row, in a
-    fixed order (component draw, A-first answers, B-first answers), into the
-    agent's 4-bit answer code, and the table adds the two spans' code counts,
-    which does not depend on which span finishes first.
+    not grow with ``n_agents``.  A run of more than ``_SPLIT_AGENTS`` agents
+    is counted by this process and one forked worker together: the agents
+    are cut into at most ``_CLAIMS`` spans of whole chunks, whose indices
+    wait in a pipe, and each process reads the next index whenever it is free
+    and counts that span from its own generator, advanced to the span's first
+    row.  The worker sends its counts back on a second pipe.  An exception
+    that ends the worker's spans is raised here, with its type and message; a
+    worker ended by a signal raises ``QOpinionError``.  When this process's
+    spans fail, the worker is killed.  Either way the worker is reaped before
+    this returns.  The kernel turns each row, in a fixed order (component
+    draw, A-first answers, B-first answers), into the agent's 4-bit answer
+    code, and the table adds the two processes' code counts, which depend
+    neither on which process counted which span nor on which finished first.
     """
     if n_agents < 1:
         raise ValidationError(f"n_agents must be >= 1, got {n_agents}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     model = _crowd_model(pop, a, b)
-    chunks = -(-n_agents // _CHUNK_ROWS)
-    if chunks == 1:
-        joint = _count_span(model, seed, 0, n_agents)
+    if n_agents <= _SPLIT_AGENTS:
+        joint = _count_spans(model, seed, [(0, n_agents)])
     else:
-        mid = -(-chunks // 2) * _CHUNK_ROWS
-        upper = []  # the worker's counts, or the exception that ended it
-
-        def count_upper():
+        size = -(-n_agents // (_CLAIMS * _CHUNK_ROWS)) * _CHUNK_ROWS
+        read_claims, write_claims = os.pipe()
+        with open(write_claims, "wb", buffering=0) as fill:  # one write of <= PIPE_BUF bytes
+            fill.write(np.arange(-(-n_agents // size), dtype="<u4").tobytes())
+        read, write = os.pipe()
+        with open(read_claims, "rb", buffering=0) as claims, open(read, "rb") as upper:
+            with open(write, "wb") as pipe:  # closed here: read() ends as the worker exits
+                pid = os.fork()
+                if not pid:
+                    _count_in_worker(pipe, model, seed, _claimed(claims, size, n_agents))
             try:
-                upper.append(_count_span(model, seed, mid, n_agents))
-            except BaseException as exc:  # raised again below, in the caller
-                upper.append(exc)
-
-        worker = threading.Thread(target=count_upper)
-        worker.start()
-        try:
-            joint = _count_span(model, seed, 0, mid)
-        finally:
-            worker.join()
-        if isinstance(upper[0], BaseException):
-            raise upper[0]
-        joint += upper[0]
+                joint = _count_spans(model, seed, _claimed(claims, size, n_agents))
+                data = upper.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)  # this process's error is the one reported
+                raise
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code < 0:
+            raise QOpinionError(f"simulate worker ended by signal {-code}")
+        if code:
+            raise pickle.loads(data)
+        joint += np.frombuffer(data, np.int64)
     return SimulationTable(n_agents, seed, tuple(int(n) for n in joint))

@@ -311,8 +311,8 @@ def test_simulate_overrides_agents_and_seed(tmp_path):
 
 
 def test_simulate_of_ten_million_agents_keeps_its_bytes(tmp_path):
-    # The run whose bytes each change to the simulation must keep: 306 chunks
-    # on both spans, seed 11.
+    # The run whose bytes each change to the simulation must keep: 611 chunks
+    # over two processes, seed 11.
     out = tmp_path / "sim.csv"
     assert main(["simulate", str(SIMULATE), "--agents", "10000000", "--seed", "11",
                  "--out", str(out)]) == 0
@@ -323,6 +323,20 @@ def test_simulate_of_ten_million_agents_keeps_its_bytes(tmp_path):
         "crowd,a,b,10000000,11,9186108,8123934,8824018,7802924,0.91861079999999995,"
         "0.81239340000000004,0.88240180000000001,0.7802924",
     ]
+
+
+def test_two_span_simulate_to_a_pipe_writes_its_output_once(tmp_path):
+    # A forked worker that flushed its copy of stdout's buffer, or went on into
+    # the caller's code, would write the CSV a second time.
+    from qopinion import population
+
+    argv = [sys.executable, "-m", "qopinion", "simulate", str(SIMULATE),
+            "--agents", str(population._SPLIT_AGENTS + 1), "--seed", "7"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "sim.csv"
+    subprocess.run([*argv, "--out", str(out)], env=env, check=True)
+    piped = subprocess.run(argv, env=env, capture_output=True, check=True)
+    assert (piped.stdout, piped.stderr) == (out.read_bytes(), b"")
 
 
 def test_simulate_requires_simulate_task():

@@ -13,7 +13,6 @@ import importlib
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -171,34 +170,39 @@ def test_run_sweep_loads_numpy_only_past_the_point_wise_cells(tmp_path):
     assert _loads("numpy", _sweep_file(tmp_path, 2, cells // 2 + 1))
 
 
-def test_simulation_starts_a_thread_only_past_one_chunk(monkeypatch, tmp_path):
-    starts = []
-    thread_start = threading.Thread.start
+def test_simulation_forks_only_past_the_split(monkeypatch, tmp_path):
+    forks = []
+    fork = os.fork
 
-    def counted(thread):
-        starts.append(thread)
-        thread_start(thread)
+    def counted():
+        forks.append(None)
+        return fork()
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(os, "fork", counted)
     path, out = str(GOLDEN / "simulate_population.qx"), str(tmp_path / "sim.csv")
-    for agents, expected in ((20_000, 0), (2 * population._CHUNK_ROWS, 1)):
-        starts.clear()
+    split = population._SPLIT_AGENTS
+    for agents, expected in ((20_000, 0), (split, 0), (split + 1, 1)):
+        forks.clear()
         argv = ["simulate", path, "--agents", str(agents), "--seed", "1", "--out", out]
         assert cli.main(argv) == 0
-        assert len(starts) == expected, agents
+        assert len(forks) == expected, agents
 
 
 def test_two_span_simulation_loads_no_logging():
-    # The second span's one thread comes from threading, which the
-    # interpreter has loaded at start-up; concurrent.futures would add
-    # logging, 6-11 ms of import that nothing else in the command needs.
+    # The second span's worker comes from os.fork and a pipe; a pool from
+    # multiprocessing or concurrent.futures would add their imports, and
+    # logging's 6-11 ms, which nothing else in the command needs.
     path = str(GOLDEN / "simulate_population.qx")
+    agents = str(population._SPLIT_AGENTS + 1)
     simulate = (
         "from qopinion import cli\n"
-        f"assert cli.main(['simulate', {path!r}, '--agents', '65536', '--seed', '1',"
-        f" '--out', {os.devnull!r}]) == 0"
+        f"assert cli.main(['simulate', {path!r}, '--agents', {agents!r}, '--seed', '1',"
+        f" '--out', {os.devnull!r}]) == 0\n"
+        "import sys\n"
+        "print([m for m in ('logging', 'multiprocessing', 'concurrent.futures')"
+        " if m in sys.modules])"
     )
-    assert not _loads("logging", simulate)
+    assert _fresh(simulate).splitlines()[-1] == "[]"
 
 
 def test_heatmap_does_not_load_urllib():

@@ -1,5 +1,8 @@
 import math
-import threading
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -178,16 +181,25 @@ THREE_WAY = PopulationSpec(
         PopulationComponent(0.2, MixedState(0.3, 0.7, 0.2 + 0.1j), "coherent"),
     )
 )
-CHUNK = population._CHUNK_ROWS
+# The span tests split at SPLIT agents in place of population._SPLIT_AGENTS,
+# so two processes share a few chunks.
+SPLIT = 1 << 15
 
 
-# Two spans split at a chunk boundary: n covers one to seven chunks, even and
-# odd chunk counts, and spans that end inside a chunk.
+@pytest.fixture
+def split_at_2_15(monkeypatch):
+    monkeypatch.setattr(population, "_SPLIT_AGENTS", SPLIT)
+
+
+# One process up to SPLIT agents, two past it, claiming one chunk at a time: n
+# covers both sides of the split, even and odd chunk counts, and a last chunk
+# that ends inside the buffer.
+@pytest.mark.usefixtures("split_at_2_15")
 @pytest.mark.parametrize("seed", [0, 2024])
 @pytest.mark.parametrize(
     "n",
-    [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 7,
-     5 * CHUNK - 1, 6 * CHUNK + 7],
+    [1, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT - 1, 2 * SPLIT, 2 * SPLIT + 1, 3 * SPLIT + 7,
+     5 * SPLIT - 1, 6 * SPLIT + 7],
 )
 def test_chunked_draws_match_one_draw(n, seed):
     table = simulate_population(THREE_WAY, A, B, n, seed)
@@ -200,10 +212,22 @@ def test_chunked_draws_match_one_draw(n, seed):
     assert sum(table.joint_counts) == n
 
 
+# With fewer claims than chunks, a claimed span is several chunks long, and the
+# last span is shorter than the others.
+@pytest.mark.usefixtures("split_at_2_15")
+@pytest.mark.parametrize("claims", [2, 3])
+def test_claims_of_several_chunks_match_one_draw(monkeypatch, claims):
+    monkeypatch.setattr(population, "_CLAIMS", claims)
+    n, seed = 5 * SPLIT + 7, 2024
+    assert simulate_population(THREE_WAY, A, B, n, seed) == SimulationTable(
+        n, seed, _reference_counts(THREE_WAY, A, B, n, seed)[1]
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 11, 2024])
 def test_advanced_generator_draws_the_later_rows_of_one_draw(seed):
-    # The spans of simulate_population rely on two numpy facts: default_rng
-    # is PCG64, and a float64 draw takes exactly one PCG64 step.
+    # The claimed spans of simulate_population rely on two numpy facts:
+    # default_rng is PCG64, and a float64 draw takes exactly one PCG64 step.
     assert np.random.default_rng(seed).bit_generator.state == np.random.PCG64(seed).state
     n = 1000
     rows = np.random.default_rng(seed).random((n, 5))
@@ -211,47 +235,97 @@ def test_advanced_generator_draws_the_later_rows_of_one_draw(seed):
         bits = np.random.PCG64(seed)
         bits.advance(5 * lo)
         assert np.array_equal(np.random.Generator(bits).random((n - lo, 5)), rows[lo:]), lo
+    # Each process draws its chunks into one reused buffer; the last is partial.
+    rng, buf, chunk = np.random.default_rng(seed), np.empty((64, 5)), []
+    for start in range(0, n, 64):
+        chunk.append(rng.random(out=buf[: min(64, n - start)]).copy())
+    assert np.array_equal(np.concatenate(chunk), rows)
 
 
-def _fail_off_the_main_thread(monkeypatch):
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_in_the_worker(monkeypatch, fail):
+    """Make the kernel call ``fail()`` in the forked worker only.  The caller's
+    kernel first waits for the worker to end, so the worker is sure to claim a
+    span before the caller has taken them all."""
+    caller = os.getpid()
+
     def answers(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker span")
+        if os.getpid() != caller:
+            fail()
+        else:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # leaves it to be reaped
         return simulate_answers(*args)
 
     monkeypatch.setattr(population, "simulate_answers", answers)
 
 
-def test_worker_span_error_reaches_the_caller(monkeypatch):
-    _fail_off_the_main_thread(monkeypatch)
-    with pytest.raises(MemoryError, match="worker span"):
-        simulate_population(THREE_WAY, A, B, 2 * CHUNK, 3)
+def _raise_memory_error():
+    raise MemoryError("worker span")
 
 
-def test_worker_span_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
-    _fail_off_the_main_thread(monkeypatch)
+def _simulate_cli(tmp_path, agents: int):
     qx = Path(__file__).parent / "golden" / "simulate_population.qx"
     out = tmp_path / "sim.csv"
     code = cli.main(
-        ["simulate", str(qx), "--agents", str(2 * CHUNK), "--seed", "3", "--out", str(out)]
+        ["simulate", str(qx), "--agents", str(agents), "--seed", "3", "--out", str(out)]
     )
+    return code, out
+
+
+@pytest.mark.usefixtures("split_at_2_15")
+def test_worker_span_error_reaches_the_caller(monkeypatch):
+    _fail_in_the_worker(monkeypatch, _raise_memory_error)
+    with pytest.raises(MemoryError, match="worker span"):
+        simulate_population(THREE_WAY, A, B, 2 * SPLIT, 3)
+    _assert_no_child_left()
+
+
+@pytest.mark.usefixtures("split_at_2_15")
+def test_worker_span_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    _fail_in_the_worker(monkeypatch, _raise_memory_error)
+    code, out = _simulate_cli(tmp_path, 2 * SPLIT)
     err = capsys.readouterr().err
     assert code == 3
     assert err.splitlines() == ["out of memory: worker span"]
     assert not out.exists()
+    _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("split_at_2_15")
+def test_worker_killed_by_a_signal_exits_3(tmp_path, monkeypatch, capfd):
+    _fail_in_the_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    code, out = _simulate_cli(tmp_path, 2 * SPLIT)
+    assert code == 3
+    assert capfd.readouterr().err == f"simulate worker ended by signal {int(signal.SIGKILL)}\n"
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+def test_the_worker_leaves_ctrl_c_to_the_caller(monkeypatch):
+    one_process = simulate_population(THREE_WAY, A, B, 2 * SPLIT, 3)
+    monkeypatch.setattr(population, "_SPLIT_AGENTS", SPLIT)
+    _fail_in_the_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGINT))
+    assert simulate_population(THREE_WAY, A, B, 2 * SPLIT, 3) == one_process
+    _assert_no_child_left()
+
+
+@pytest.mark.usefixtures("split_at_2_15")
 def test_caller_span_error_joins_the_worker_first(monkeypatch):
+    caller = os.getpid()
+
     def answers(*args):
-        if threading.current_thread() is threading.main_thread():
+        if os.getpid() == caller:
             raise MemoryError("caller span")
         return simulate_answers(*args)
 
     monkeypatch.setattr(population, "simulate_answers", answers)
-    before = threading.active_count()
     with pytest.raises(MemoryError, match="caller span"):
-        simulate_population(THREE_WAY, A, B, 8 * CHUNK, 3)
-    assert threading.active_count() == before
+        simulate_population(THREE_WAY, A, B, 8 * SPLIT, 3)
+    _assert_no_child_left()
 
 
 def test_simulation_memory_does_not_grow_with_agents():
@@ -263,3 +337,40 @@ def test_simulation_memory_does_not_grow_with_agents():
     finally:
         tracemalloc.stop()
     assert peak_mb < 16
+
+
+# Peak resident memory that a two-process run of 2^22 agents adds to a process
+# that has imported the CLI and run a one-agent simulation.  Measured at 0.9 MB
+# with 2^14-row chunks (2 vCPUs, numpy 2.4); two 2^15-row chunks on two
+# threads added ~4 MB.
+RSS_GROWTH_KB = 2048
+
+# The child's own high-water mark is VmHWM: an exec'd process's ru_maxrss
+# starts from its parent's (this test runner's), which would hide any growth.
+# The forked worker's ru_maxrss is its own, read after it is reaped.
+_GROWTH = f"""
+import re, resource, sys
+from pathlib import Path
+from qopinion import cli, dsl, population
+
+def hwm_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+rt = cli.build_runtime(dsl.parse(Path(sys.argv[1]).read_text()))
+pop, a, b = rt.populations["crowd"], rt.questions["a"], rt.questions["b"]
+population.simulate_population(pop, a, b, 1, 5)  # the crowd model, numpy.random, the kernel
+before = hwm_kb()
+population._SPLIT_AGENTS = {SPLIT}
+population.simulate_population(pop, a, b, 1 << 22, 5)
+print(before, hwm_kb(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_two_span_simulation_adds_little_resident_memory():
+    qx = str(Path(__file__).parent / "golden" / "simulate_population.qx")
+    proc = subprocess.run([sys.executable, "-c", _GROWTH, qx], capture_output=True, text=True,
+                          check=True)
+    before, own, worker = map(int, proc.stdout.split())
+    assert worker > 0  # the worker ran and was reaped
+    assert max(own, worker) - before < RSS_GROWTH_KB
