@@ -24,7 +24,6 @@ import contextlib
 import itertools
 import os
 import shutil
-import signal
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -387,14 +386,11 @@ def cmd_sweep(args) -> int:
     raster of more than one block is written by two processes, each over its
     own span of theta rows: compute a block, write its CSV rows, write its SVG
     rows.  One forked worker writes the upper rows and the SVG's legend to two
-    unnamed files beside the outputs, appended once it has exited with 0.
-    When only the worker fails, it prints its own diagnostic and the command
-    exits with its code; when this process fails, it ends the worker before
-    reporting.  A failed sweep may leave a partial ``--out`` or ``--svg``.
-    The worker runs only Python formatting and element-wise numpy, never a
-    BLAS routine, so the BLAS thread that the fork does not copy is never
-    missed.
+    unnamed files beside the outputs, appended once it has exited with 0; its
+    failures reach this process by the protocol of :mod:`qopinion._fork`.  A
+    failed sweep may leave a partial ``--out`` or ``--svg``.
     """
+    from ._fork import in_two_processes
     from .analysis import sweep_blocks
     from .heatmap import fallacy_heatmap_rows
 
@@ -424,21 +420,13 @@ def cmd_sweep(args) -> int:
             write(lower, 0, files)
             return 0
         spills = [stack.enter_context(_spill_file(path)) for path in paths]
-        pid = _fork(lambda: write(upper, split, spills))
-        try:
-            write(lower, 0, files)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)  # the command fails: one diagnostic
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code == 0:
-            for spill, fh in zip(spills, files):
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh)
-    if code < 0:
-        raise _CliError(f"sweep worker ended by signal {-code}", 3)
-    return code
+        # The worker's rows go to the spill files, so it returns no bytes.
+        in_two_processes(lambda: write(upper, split, spills) or b"",
+                         lambda: write(lower, 0, files), "sweep")
+        for spill, fh in zip(spills, files):
+            spill.seek(0)
+            shutil.copyfileobj(spill, fh)
+    return 0
 
 
 def _spill_file(path: str):
@@ -451,32 +439,6 @@ def _spill_file(path: str):
         )
     except OSError:
         return tempfile.TemporaryFile("w+", newline="")
-
-
-def _fork(work) -> int:
-    """Run ``work()`` in one forked worker and return the worker's pid.
-
-    The worker never returns to its caller's code: it leaves by ``os._exit``
-    with the code that ``main`` gives the outcome, after printing the same
-    diagnostic (a traceback, and 1, for an unexpected exception).
-    """
-    sys.stderr.flush()  # or the worker would print the pending text again
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
-        work()
-        code = 0
-    except _ERRORS as exc:
-        code = _report(exc)
-    except BaseException:
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        _exit(code)
 
 
 def _exit(code: int) -> NoReturn:

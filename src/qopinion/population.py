@@ -10,14 +10,12 @@ its agents with one forked worker process, which it reaps before it returns.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
-from .errors import QOpinionError, ValidationError
+from ._fork import in_two_processes
+from .errors import ValidationError
 from .fallacy import FALLACY_GUARD
 from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
@@ -178,27 +176,6 @@ def _claimed(claims, size: int, n_agents: int):
         yield lo, min(lo + size, n_agents)
 
 
-def _count_in_worker(pipe, model, seed: int, spans) -> NoReturn:
-    """The forked worker's whole life: write the counts of ``spans``, or the
-    pickled exception that ended them, to ``pipe``, then leave by
-    ``os._exit`` (0 after the counts, else 1).  It never returns to the
-    caller's code and flushes no buffer it inherited.  It runs element-wise
-    numpy and the generator only, never a BLAS routine, so the BLAS threads
-    that the fork does not copy are never missed."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to report
-        try:
-            data = _count_spans(model, seed, spans).tobytes()
-            code = 0
-        except BaseException as exc:  # raised again by the caller
-            data = pickle.dumps(exc)
-        pipe.write(data)
-        pipe.flush()
-    finally:
-        os._exit(code)
-
-
 def simulate_population(
     pop: PopulationSpec, a: Question, b: Question, n_agents: int, seed: int
 ) -> SimulationTable:
@@ -212,14 +189,11 @@ def simulate_population(
     are cut into at most ``_CLAIMS`` spans of whole chunks, whose indices
     wait in a pipe, and each process reads the next index whenever it is free
     and counts that span from its own generator, advanced to the span's first
-    row.  The worker sends its counts back on a second pipe.  An exception
-    that ends the worker's spans is raised here, with its type and message; a
-    worker ended by a signal raises ``QOpinionError``.  When this process's
-    spans fail, the worker is killed.  Either way the worker is reaped before
-    this returns.  The kernel turns each row, in a fixed order (component
-    draw, A-first answers, B-first answers), into the agent's 4-bit answer
-    code, and the table adds the two processes' code counts, which depend
-    neither on which process counted which span nor on which finished first.
+    row.  The worker's counts, or its failure, come back by the protocol of
+    :mod:`qopinion._fork`.  The kernel turns each row, in a fixed order
+    (component draw, A-first answers, B-first answers), into the agent's
+    4-bit answer code, and the table adds the two processes' code counts,
+    whichever process counted which span and whichever finished first.
     """
     if n_agents < 1:
         raise ValidationError(f"n_agents must be >= 1, got {n_agents}")
@@ -233,23 +207,11 @@ def simulate_population(
         read_claims, write_claims = os.pipe()
         with open(write_claims, "wb", buffering=0) as fill:  # one write of <= PIPE_BUF bytes
             fill.write(np.arange(-(-n_agents // size), dtype="<u4").tobytes())
-        read, write = os.pipe()
-        with open(read_claims, "rb", buffering=0) as claims, open(read, "rb") as upper:
-            with open(write, "wb") as pipe:  # closed here: read() ends as the worker exits
-                pid = os.fork()
-                if not pid:
-                    _count_in_worker(pipe, model, seed, _claimed(claims, size, n_agents))
-            try:
-                joint = _count_spans(model, seed, _claimed(claims, size, n_agents))
-                data = upper.read()
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)  # this process's error is the one reported
-                raise
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code < 0:
-            raise QOpinionError(f"simulate worker ended by signal {-code}")
-        if code:
-            raise pickle.loads(data)
-        joint += np.frombuffer(data, np.int64)
+        with open(read_claims, "rb", buffering=0) as claims:
+
+            def count():
+                return _count_spans(model, seed, _claimed(claims, size, n_agents))
+
+            joint, upper = in_two_processes(lambda: count().tobytes(), count, "simulate")
+        joint += np.frombuffer(upper, np.int64)
     return SimulationTable(n_agents, seed, tuple(int(n) for n in joint))

@@ -118,22 +118,36 @@ def test_bench_runs_perfbench_for_the_given_seconds(tmp_path, monkeypatch):
     )]
 
 
-def _write_record(tree: Path, seed: int, walls: dict[str, list[float]]) -> None:
-    """A ``golden_run`` record of ``tree`` at ``seed`` whose invocations ran
+def _write_record(tree: Path, seed: int, walls: dict[str, list[float]],
+                  workload: str = "golden_run", cpu: tuple[float, float] = (0.1, 0.01)) -> None:
+    """A ``workload`` record of ``tree`` at ``seed`` whose invocations ran
     each stem's file once per wall time, the files in turn as perfbench runs
-    its passes."""
+    its passes, each in ``cpu`` user and sys seconds, with the run's
+    environment block."""
     runs = [
-        {"args": ["run", f"/bench/inputs/{stem}.qx", "--out", f"{stem}.csv"], "wall_s": wall}
+        {"args": ["run", f"/bench/inputs/{stem}.qx", "--out", f"{stem}.csv"], "wall_s": wall,
+         "user_s": cpu[0], "sys_s": cpu[1]}
         for rounds in zip(*walls.values()) for stem, wall in zip(walls, rounds)
     ]
-    record = tree / ".bench_build" / "perfbench" / f"golden_run-seed{seed}-trace0.json"
+    record = tree / ".bench_build" / "perfbench" / f"{workload}-seed{seed}-trace0.json"
     record.parent.mkdir(parents=True, exist_ok=True)
-    record.write_text(json.dumps({"invocations": runs}))
+    record.write_text(json.dumps({"environment": {"python": "3"}, "invocations": runs}))
 
 
 def test_file_walls_are_each_files_median_by_stem(tmp_path):
     _write_record(tmp_path, 7, {"sweep_grid": [0.3, 0.1, 0.2], "degrees": [0.05, 0.07, 0.06]})
     assert bench_pairs.file_walls(tmp_path, 7) == {"degrees": 0.06, "sweep_grid": 0.2}
+
+
+def test_cpu_seconds_are_the_median_invocations_user_plus_sys(tmp_path):
+    _write_record(tmp_path, 7, {"a": [0.3, 0.1], "b": [0.2, 0.4]}, "simulate_1e7", (0.5, 0.25))
+    record = tmp_path / ".bench_build" / "perfbench" / "simulate_1e7-seed7-trace0.json"
+    runs = json.loads(record.read_text())
+    runs["invocations"][0].update(user_s=2.0, sys_s=1.0)  # one slow invocation
+    runs["invocations"][1].update(user_s=0.25, sys_s=0.25)
+    record.write_text(json.dumps(runs))
+    # 3.0, 0.5, 0.75 and 0.75 seconds: the median is 0.75.
+    assert bench_pairs.cpu_seconds(tmp_path, "simulate_1e7", 7) == 0.75
 
 
 # Per golden file and side, the wall times of a stub run's two passes: the
@@ -142,23 +156,23 @@ STUB_WALLS = {
     "base": {"basic": [0.1, 0.1], "sweep": [0.5, 0.7]},
     "change": {"basic": [0.1, 0.1], "sweep": [0.1, 0.3]},
 }
+# Per side, the user and sys seconds of each stub invocation in the first
+# pair; the second pair's take twice the user seconds.
+STUB_CPU = {"base": (0.2, 0.05), "change": (0.3, 0.1)}
 
 
 def _main_with_stub_runs(tmp_path, monkeypatch) -> tuple[dict, list[float]]:
     """The summary that ``main`` writes for 2 pairs of stub perfbench runs,
-    each reporting 1.0 for every metric and, for ``golden_run``, the wall
-    times of ``STUB_WALLS``, and the seconds each run was given."""
-    record = tmp_path / "change" / ".bench_build" / "perfbench"
-    record.mkdir(parents=True)
-    (record / f"{WORKLOADS[0]}-seed{bench_pairs.FIRST_SEED}-trace0.json").write_text(
-        '{"environment": {"python": "3"}}'
-    )
+    each reporting 1.0 for every metric and recording the wall times of
+    ``STUB_WALLS`` and the CPU seconds of ``STUB_CPU``, and the seconds each
+    run was given."""
     seconds = []
 
     def bench(tree, workload, seed, trace, run_seconds):
         seconds.append(run_seconds)
-        if workload == "golden_run" and trace == 0:
-            _write_record(tree, seed, STUB_WALLS[tree.name])
+        if trace == 0:
+            _write_record(tree, seed, STUB_WALLS[tree.name], workload,
+                          (STUB_CPU[tree.name][0] * (seed - 40), STUB_CPU[tree.name][1]))
         names = [m["name"] for m in SPEC["end_to_end"]]
         return {"failed": 0, "attempted": 1, "metrics": {n: {"value": 1.0} for n in names}}
 
@@ -196,3 +210,13 @@ def test_golden_run_is_summarised_per_file(tmp_path, monkeypatch):
                   "change": bench_pairs.spread([0.2, 0.2]), "change_wins": 2},
     }
     assert [w for w, out in result["workloads"].items() if "files" in out] == ["golden_run"]
+
+
+def test_each_workload_reports_the_hosts_cpu_seconds_per_side(tmp_path, monkeypatch):
+    result, _ = _main_with_stub_runs(tmp_path, monkeypatch)
+    # (0.2 + 0.05, 2 * 0.2 + 0.05) on the base side, (0.3 + 0.1, 2 * 0.3 + 0.1) on the change's.
+    for out in result["workloads"].values():
+        assert out["cpu_s_per_invocation"] == {
+            "base": bench_pairs.spread([0.25, 0.45]),
+            "change": bench_pairs.spread([0.4, 0.7]),
+        }

@@ -3,9 +3,10 @@
 The point-wise tasks (fallacy, sequence, underextension) are scalar code,
 and so is a ``run`` sweep of at most ``cli._POINTWISE_CELLS`` cells:
 importing the package or the CLI, or running a file of such tasks, must not
-load numpy.  A larger sweep and the uncertainty and simulate paths must; no
-simulation loads logging.  ``import qopinion`` itself loads no submodule: each public
-name is imported on first access.  Each import check runs in a fresh
+load numpy, nor the fork helper ``qopinion._fork``.  A larger sweep and the
+uncertainty and simulate paths must load numpy; no simulation loads logging.
+``import qopinion`` itself loads no submodule: each public name is imported
+on first access.  Each import check runs in a fresh
 interpreter, since this one has long since loaded numpy and the package.
 """
 
@@ -144,7 +145,11 @@ def test_unlisted_module_is_an_attribute_only_once_imported():
 
 @pytest.mark.parametrize("stem", NUMPY_FREE)
 def test_point_wise_file_does_not_load_numpy(stem):
-    assert not _loads("numpy", _run_file(stem))
+    # Nor the fork helper, which only a sweep's and a simulation's split use.
+    probe = _run_file(stem) + (
+        "\nimport sys\nprint([m for m in ('numpy', 'qopinion._fork') if m in sys.modules])"
+    )
+    assert _fresh(probe).splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("stem", NUMPY_USERS)

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from qopinion.population import (
     simulate_population,
 )
 from qopinion.states import _as_density
+
+from conftest import assert_no_child_left
 
 A = Question("a")
 B = Question("b", BasisRelation(0.2, 0.0))
@@ -242,11 +245,6 @@ def test_advanced_generator_draws_the_later_rows_of_one_draw(seed):
     assert np.array_equal(np.concatenate(chunk), rows)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _fail_in_the_worker(monkeypatch, fail):
     """Make the kernel call ``fail()`` in the forked worker only.  The caller's
     kernel first waits for the worker to end, so the worker is sure to claim a
@@ -281,7 +279,7 @@ def test_worker_span_error_reaches_the_caller(monkeypatch):
     _fail_in_the_worker(monkeypatch, _raise_memory_error)
     with pytest.raises(MemoryError, match="worker span"):
         simulate_population(THREE_WAY, A, B, 2 * SPLIT, 3)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.usefixtures("split_at_2_15")
@@ -292,7 +290,7 @@ def test_worker_span_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert err.splitlines() == ["out of memory: worker span"]
     assert not out.exists()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.usefixtures("split_at_2_15")
@@ -302,7 +300,7 @@ def test_worker_killed_by_a_signal_exits_3(tmp_path, monkeypatch, capfd):
     assert code == 3
     assert capfd.readouterr().err == f"simulate worker ended by signal {int(signal.SIGKILL)}\n"
     assert not out.exists()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_the_worker_leaves_ctrl_c_to_the_caller(monkeypatch):
@@ -310,7 +308,7 @@ def test_the_worker_leaves_ctrl_c_to_the_caller(monkeypatch):
     monkeypatch.setattr(population, "_SPLIT_AGENTS", SPLIT)
     _fail_in_the_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGINT))
     assert simulate_population(THREE_WAY, A, B, 2 * SPLIT, 3) == one_process
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.usefixtures("split_at_2_15")
@@ -325,7 +323,25 @@ def test_caller_span_error_joins_the_worker_first(monkeypatch):
     monkeypatch.setattr(population, "simulate_answers", answers)
     with pytest.raises(MemoryError, match="caller span"):
         simulate_population(THREE_WAY, A, B, 8 * SPLIT, 3)
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("split_at_2_15")
+def test_caller_span_error_ends_the_worker_first(monkeypatch):
+    caller = os.getpid()
+
+    def answers(*args):
+        if os.getpid() == caller:
+            raise MemoryError("caller span")
+        time.sleep(60)  # a worker left to finish would hold the caller here
+        return simulate_answers(*args)
+
+    monkeypatch.setattr(population, "simulate_answers", answers)
+    start = time.monotonic()
+    with pytest.raises(MemoryError, match="caller span"):
+        simulate_population(THREE_WAY, A, B, 2 * SPLIT, 3)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def test_simulation_memory_does_not_grow_with_agents():

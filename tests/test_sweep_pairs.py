@@ -114,3 +114,43 @@ def test_run_reading_is_the_sweep_csv_after_its_marker_line(tmp_path):
     assert ran["csv"] == swept["csv"]
     assert ran["wall_s"] > 0 and ran["max_rss_mb"] > 0
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.qx"]
+
+
+def test_simulate_mode_times_a_simulation_beside_each_sweep(tmp_path, monkeypatch):
+    calls = []
+
+    def simulate(tree, agents, out):
+        calls.append(("simulate", tree.name, agents))
+        digest = "d" if tree.name == "base" or len(calls) < 3 else "other"
+        return {"wall_s": 0.5 if tree.name == "base" else 0.4, "max_rss_mb": 36.0,
+                "csv": digest}
+
+    monkeypatch.setattr(sweep_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(sweep_pairs, "sweep", lambda tree, size, phi, out: _run(1.0, 40.0))
+    monkeypatch.setattr(sweep_pairs, "run", lambda tree, size, phi, out: _run(2.0, 40.0)["run"])
+    monkeypatch.setattr(sweep_pairs, "simulate", simulate)
+    monkeypatch.setattr(sweep_pairs, "spawn", lambda argv, env: {"max_rss_mb": 12.0})
+    monkeypatch.setattr(sweep_pairs, "extract", lambda treeish, name: tmp_path / "base")
+    monkeypatch.setattr(sweep_pairs, "snapshot", lambda: tmp_path / "change")
+    monkeypatch.setattr(sweep_pairs, "_git", lambda *args: "0" * 40)
+    out = tmp_path / "pairs.json"
+    argv = ["--base", "HEAD", "--size", "64", "--pairs", "2", "--simulate", "1000",
+            "--out", str(out)]
+    assert sweep_pairs.main(argv) == 0
+    assert calls == [("simulate", "base", 1000), ("simulate", "change", 1000),
+                     ("simulate", "change", 1000), ("simulate", "base", 1000)]
+    result = json.loads(out.read_text())
+    assert result["simulate_agents"] == 1000
+    assert "--simulate 1000" in result["command"]
+    assert result["simulate"]["wall_s"]["change_wins"] == 2
+    assert result["simulate"]["max_rss_mb"]["base"] == sweep_pairs.spread([36.0, 36.0])
+    # The change's second simulation wrote other bytes.
+    assert result["same_bytes"] == {"csv": True, "svg": True, "run": True, "simulate": False}
+
+
+def test_simulate_reading_is_the_golden_files_simulation(tmp_path):
+    tree = Path(__file__).resolve().parents[1]
+    reading = sweep_pairs.simulate(tree, 1000, tmp_path)
+    assert reading["wall_s"] > 0 and reading["max_rss_mb"] > 0
+    assert reading["csv"] == sweep_pairs.simulate(tree, 1000, tmp_path)["csv"]
+    assert list(tmp_path.iterdir()) == []

@@ -7,10 +7,13 @@ loop over one in-process raster at every split point, check that the
 outputs are opened before any work and that two names of one file are
 rejected there, that memory does not grow with the theta rows, that the
 worker's failures end the command with main's exit code and one
-diagnostic, and that no process outlives a sweep.  Tests that see the worker's stderr use ``capfd``: the
-worker writes to the file descriptor, which ``capsys`` does not capture.
+diagnostic, and that no process outlives a sweep.  The worker prints
+nothing: the command writes every diagnostic, the worker's failures too.
+Tests that read stderr use ``capfd``, which would also catch a line that a
+forked process wrote to the file descriptor, where ``capsys`` would not.
 """
 
+import errno
 import math
 import os
 import signal
@@ -27,6 +30,9 @@ from qopinion import analysis, cli
 from qopinion.analysis import sweep_blocks, sweep_fallacy_map
 from qopinion.dsl import GridRange
 from qopinion.heatmap import fallacy_heatmap_svg
+
+from conftest import assert_no_child_left
+
 
 GOLDEN = Path(__file__).parent / "golden"
 ONE_BLOCK = cli._CHUNK_ROWS
@@ -60,11 +66,6 @@ def _sweep(tmp_path, theta, theta_a, phi=0.0):
                      "--out", str(tmp_path / "sweep.csv"), "--svg", str(tmp_path / "sweep.svg")])
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize(
     "theta, theta_a, phi",
     [
@@ -87,7 +88,7 @@ def test_sweep_files_match_the_one_process_bytes(tmp_path, theta, theta_a, phi):
     csv, svg = _reference(theta, theta_a, phi)
     assert (tmp_path / "sweep.csv").read_bytes() == csv
     assert (tmp_path / "sweep.svg").read_bytes() == svg
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_row_blocks_do_not_depend_on_the_span():
@@ -148,13 +149,31 @@ def _raise_memory_error():
     raise MemoryError("injected")
 
 
+FULL_DISK = "/spill/on/a/full/disk"
+
+
+def _raise_no_space():
+    # A spill or output file on a full disk; an OSError is pickled with its
+    # errno, message and file name.
+    raise OSError(errno.ENOSPC, "No space left on device", FULL_DISK)
+
+
 @pytest.mark.parametrize("side", ["worker", "parent"])
 def test_out_of_memory_on_either_side_exits_3_with_one_line(tmp_path, monkeypatch, capfd, side):
     _fail_in(monkeypatch, side, _raise_memory_error)
     assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
     out, err = capfd.readouterr()
     assert (out, err) == ("", "out of memory: injected\n")
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_a_full_disk_on_either_side_exits_1_with_one_line(tmp_path, monkeypatch, capfd, side):
+    _fail_in(monkeypatch, side, _raise_no_space)
+    assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 1
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", f"[Errno 28] No space left on device: '{FULL_DISK}'\n")
+    assert_no_child_left()
 
 
 def test_a_worker_failing_midway_appends_none_of_its_rows(tmp_path, monkeypatch, capfd):
@@ -176,7 +195,7 @@ def test_a_worker_failing_midway_appends_none_of_its_rows(tmp_path, monkeypatch,
     split = n - n // 2  # this process's span: the lower half, rounded up
     lines = _reference(theta, theta_a, 0.0)[0].splitlines(keepends=True)
     assert (tmp_path / "sweep.csv").read_bytes() == b"".join(lines[: 1 + split * 4])
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_failing_parent_ends_the_worker_first(tmp_path, monkeypatch, capfd):
@@ -193,7 +212,7 @@ def test_a_failing_parent_ends_the_worker_first(tmp_path, monkeypatch, capfd):
     assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
     assert time.monotonic() - start < 30
     assert capfd.readouterr().err == "out of memory: injected\n"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_the_worker_leaves_ctrl_c_to_the_command(tmp_path, monkeypatch, capfd):
@@ -202,14 +221,14 @@ def test_the_worker_leaves_ctrl_c_to_the_command(tmp_path, monkeypatch, capfd):
     assert _sweep(tmp_path, theta, theta_a) == 0
     assert capfd.readouterr().err == ""
     assert (tmp_path / "sweep.csv").read_bytes() == _reference(theta, theta_a, 0.0)[0]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_worker_killed_by_a_signal_exits_3(tmp_path, monkeypatch, capfd):
     _fail_in(monkeypatch, "worker", lambda: os.kill(os.getpid(), signal.SIGKILL))
     assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
     assert capfd.readouterr().err == f"sweep worker ended by signal {int(signal.SIGKILL)}\n"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _refuse(what: str):
@@ -229,7 +248,7 @@ def test_unopenable_svg_exits_1_before_any_work(tmp_path, monkeypatch, capfd, ro
     assert cli.main(argv) == 1
     err = capfd.readouterr().err
     assert len(err.splitlines()) == 1 and str(missing) in err
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("rows", [ONE_BLOCK, 3 * ONE_BLOCK])
@@ -256,7 +275,7 @@ def test_svg_naming_the_out_file_exits_1_before_any_work(tmp_path, monkeypatch, 
     captured = capfd.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and str(svg) in captured.err
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _traced_peak(tmp_path, rows: int) -> int:

@@ -19,7 +19,10 @@ side, the traced per-layer metrics and the environment block.  Under
 ``golden_run``'s ``files`` it gets the same spreads and win counts for each
 golden file, from the median wall time of that file's invocations in each
 run (read from the run's record, ``.bench_build/perfbench/golden_run-seed<S>-
-trace0.json`` in its tree), so a gain shows on the files it comes from.  It also
+trace0.json`` in its tree), so a gain shows on the files it comes from.  Under
+each workload's ``cpu_s_per_invocation`` it gets each side's spread of the
+runs' median user + sys CPU seconds per invocation, read from the same
+records: a wide spread there, on both sides, is the host drifting.  It also
 gets the lines of ``src/`` that the change adds and removes against REV,
 the net count, and the Python settings of ``PYTHON_ENV`` as this process
 had them (null when unset), which every child inherits: without a bytecode
@@ -132,12 +135,27 @@ def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def invocations(tree: Path, workload: str, seed: int) -> list[dict]:
+    """The invocations of the untraced ``workload`` run of ``tree`` at
+    ``seed``, from its record, ``.bench_build/perfbench/<workload>-seed<S>-
+    trace0.json`` in the tree."""
+    record = tree / ".bench_build" / "perfbench" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(record.read_text())["invocations"]
+
+
+def cpu_seconds(tree: Path, workload: str, seed: int) -> float:
+    """Median user + sys CPU seconds of one invocation in that run: how fast
+    the host ran it, apart from how long the run waited."""
+    return statistics.median(
+        inv["user_s"] + inv["sys_s"] for inv in invocations(tree, workload, seed)
+    )
+
+
 def file_walls(tree: Path, seed: int) -> dict[str, float]:
     """Median wall seconds of each file's invocations in the ``PER_FILE``
     run of ``tree`` at ``seed``, keyed by the stem of the file it ran."""
-    record = tree / ".bench_build" / "perfbench" / f"{PER_FILE}-seed{seed}-trace0.json"
     walls: dict[str, list[float]] = {}
-    for inv in json.loads(record.read_text())["invocations"]:
+    for inv in invocations(tree, PER_FILE, seed):
         walls.setdefault(Path(inv["args"][1]).stem, []).append(inv["wall_s"])
     return {stem: statistics.median(w) for stem, w in sorted(walls.items())}
 
@@ -166,12 +184,14 @@ def main(argv=None) -> int:
     trees = {"base": extract(commit, f"base-{commit[:12]}"), "change": snapshot()}
     src_lines = line_counts(_git("diff", "--numstat", commit, worktree(), "--", "src"))
     runs = {w: {"base": [], "change": []} for w in workloads}
+    cpu = {w: {"base": [], "change": []} for w in workloads}
     walls: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for w in workloads:
             for side in order:
                 runs[w][side].append(bench(trees[side], w, FIRST_SEED + i, 0, seconds))
+                cpu[w][side].append(cpu_seconds(trees[side], w, FIRST_SEED + i))
                 if w == PER_FILE:
                     walls[side].append(file_walls(trees[side], FIRST_SEED + i))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
@@ -196,6 +216,7 @@ def main(argv=None) -> int:
                     for side, rs in runs[w].items()
                 },
                 "metrics": summarise(spec["end_to_end"], runs[w]),
+                "cpu_s_per_invocation": {side: spread(v) for side, v in cpu[w].items()},
                 **({"files": summarise_files(walls)} if w == PER_FILE else {}),
             }
             for w in workloads
