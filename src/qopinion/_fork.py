@@ -1,19 +1,20 @@
 """Two pieces of one job, one in a forked worker process and one in this one.
 
 :func:`in_two_processes` is the one way the package shares work with a
-second process.  The protocol:
+second process, and this protocol the one format in which results cross:
 
-- The worker ignores SIGINT: Ctrl-C is this process's to report.  It writes
-  the bytes that its work returns, or the pickled exception that ended it, to
-  a pipe, prints nothing and leaves by ``os._exit`` (0 after the bytes, else
-  1).  So it never returns to the caller's code and flushes no buffer it
-  inherited.
+- The worker ignores SIGINT: Ctrl-C is this process's to report.  It pickles
+  ``(True, result)`` of its work, or ``(False, exc)`` for the exception that
+  ended it, to a pipe, prints nothing and leaves by ``os._exit(0)``.  So it
+  never returns to the caller's code and flushes no buffer it inherited, and
+  its exit status only says whether a signal killed it.
 - This process runs its own part meanwhile.  If that raises, it kills the
   worker and raises its own error: the command reports one failure.
 - Either way it reaps the worker before it returns.  A worker ended by a
   signal raises ``QOpinionError("<name> worker ended by signal N")``; a
   worker's exception is raised here with its type and message, and reported
-  by the command like one of its own.
+  by the command like one of its own.  An outcome that does not survive the
+  pickle round trip raises ``QOpinionError("<name> worker failed; ...")``.
 
 The fork copies only the calling thread, so the work runs Python,
 element-wise numpy and the generator only, never a BLAS routine, whose
@@ -31,8 +32,8 @@ from .errors import QOpinionError
 
 
 def in_two_processes(work, own, name: str):
-    """``own()`` in this process and ``work()`` in one forked worker, by the
-    protocol above: the result of ``own()`` and the bytes of ``work()``."""
+    """``(own(), work())``, with ``own()`` run in this process and ``work()``
+    in one forked worker, by the protocol above."""
     read, write = os.pipe()
     with open(read, "rb") as result:
         with open(write, "wb") as pipe:  # closed here: read() ends as the worker exits
@@ -49,23 +50,25 @@ def in_two_processes(work, own, name: str):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code < 0:
         raise QOpinionError(f"{name} worker ended by signal {-code}")
-    if code:
-        raise pickle.loads(data)
-    return mine, data
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as exc:
+        raise QOpinionError(f"{name} worker failed; unreadable outcome ({exc!r})") from None
+    if not ok:
+        raise value
+    return mine, value
 
 
 def _worker(pipe, work) -> NoReturn:
-    """The forked worker's whole life: ``work()``, its bytes or the pickled
-    exception that ended it written to ``pipe``, then ``os._exit``."""
-    code = 1
+    """The forked worker's whole life: ``work()``, its pickled outcome
+    written to ``pipe``, then ``os._exit(0)``."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         try:
-            data = work()
-            code = 0
+            outcome = True, work()
         except BaseException as exc:  # raised again by the caller
-            data = pickle.dumps(exc)
-        pipe.write(data)
+            outcome = False, exc
+        pipe.write(pickle.dumps(outcome))
         pipe.flush()
     finally:
-        os._exit(code)
+        os._exit(0)

@@ -65,11 +65,11 @@ SWEEP_HEADER = ",".join(["theta", "theta_a", "phi", *_FALLACY_FIELDS, "regime"])
 
 
 class _CliError(Exception):
-    """A one-line message for stderr and the exit code that goes with it."""
+    """``_CliError(message, code)``: a one-line message for stderr and its exit
+    code, both in ``args``, so that it survives a worker's pickle round trip."""
 
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,7 +386,7 @@ def cmd_sweep(args) -> int:
     raster of more than one block is written by two processes, each over its
     own span of theta rows: compute a block, write its CSV rows, write its SVG
     rows.  One forked worker writes the upper rows and the SVG's legend to two
-    unnamed files beside the outputs, appended once it has exited with 0; its
+    unnamed files beside the outputs, appended once it has returned; its
     failures reach this process by the protocol of :mod:`qopinion._fork`.  A
     failed sweep may leave a partial ``--out`` or ``--svg``.
     """
@@ -420,8 +420,7 @@ def cmd_sweep(args) -> int:
             write(lower, 0, files)
             return 0
         spills = [stack.enter_context(_spill_file(path)) for path in paths]
-        # The worker's rows go to the spill files, so it returns no bytes.
-        in_two_processes(lambda: write(upper, split, spills) or b"",
+        in_two_processes(lambda: write(upper, split, spills),
                          lambda: write(lower, 0, files), "sweep")
         for spill, fh in zip(spills, files):
             spill.seek(0)
@@ -478,7 +477,7 @@ def _report(exc: Exception) -> int:
         return 3
     print(str(exc), file=sys.stderr)
     if isinstance(exc, _CliError):
-        return exc.code
+        return exc.args[1]
     return 1 if isinstance(exc, OSError) else 3
 
 

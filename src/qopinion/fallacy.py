@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError, SingularityError, ValidationError
+from .errors import PreconditionError, SingularityError
 from .measurement import OutcomeStep, consecutive_probability, outcome_probability
 from .observables import (
     BasisRelation,
@@ -42,7 +42,9 @@ from .observables import (
     relative_relation,
     rotate_amplitudes,
 )
-from .states import MixedState, PureState, _check_finite, density_from_pure, pure_from_angles
+from .states import (
+    MixedState, PureState, _check_finite, _check_outcome, density_from_pure, pure_from_angles,
+)
 
 FALLACY_GUARD = 1e-12
 POLE_GUARD = 1e-9
@@ -176,8 +178,7 @@ def decompose_total_probability(
     interference factor sin(2 theta) is then zero and the total reduces to
     the classical sum.
     """
-    if j not in (0, 1):
-        raise ValidationError(f"outcome must be 0 or 1, got {j!r}")
+    _check_outcome(j)
     alpha = rotate_amplitudes(s.amp0, s.amp1, *_rotation_terms(a.relation_to_reference))
     classical, interference = _split(
         *alpha, *_relation_terms(relative_relation(a, b)), j
@@ -193,8 +194,7 @@ def mixed_state_total_probability(
     Diagonal mixtures carry no interference term, so the result is exactly
     the classical two-path sum and can never fall below P(a1) P(b_j | a1).
     """
-    if j not in (0, 1):
-        raise ValidationError(f"outcome must be 0 or 1, got {j!r}")
+    _check_outcome(j)
     a0, a1 = eigenvectors_in_reference(a)
     off = rho.element(a0, a1)
     if abs(off) > 1e-12:

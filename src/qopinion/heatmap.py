@@ -11,20 +11,16 @@ from collections.abc import Iterator
 from .analysis import SweepResult
 
 _CELL_PX = 8  # side of one raster cell, in pixels
-_COLORS = {
-    (False, False): "#eeeeee",
-    (True, False): "#d95f02",
-    (False, True): "#1b9e77",
-    (True, True): "#7570b3",
-}
+# (fallacy_b, fallacy_a) flags, fill and label of each legend entry, in order.
 # The labels go into the SVG as they are: none holds a character that XML
 # would need escaped.
 _LEGEND = [
-    ((False, False), "no fallacy"),
-    ((True, False), "fallacy on b only"),
-    ((False, True), "fallacy on a only"),
-    ((True, True), "fallacy on both"),
+    ((False, False), "#eeeeee", "no fallacy"),
+    ((True, False), "#d95f02", "fallacy on b only"),
+    ((False, True), "#1b9e77", "fallacy on a only"),
+    ((True, True), "#7570b3", "fallacy on both"),
 ]
+_COLORS = {flags: fill for flags, fill, _ in _LEGEND}  # a cell's fill by its flags
 
 
 def fallacy_heatmap_svg(sweep: SweepResult, n_theta: int, n_theta_a: int) -> str:
@@ -62,11 +58,11 @@ def fallacy_heatmap_rows(block: SweepResult, lo: int, n_theta: int) -> Iterator[
         )
     if lo + n_rows == n_theta:
         y0 = 16 + n_theta * _CELL_PX + 12
-        for i, (flags, label) in enumerate(_LEGEND):
+        for i, (_, fill, label) in enumerate(_LEGEND):
             y = y0 + i * 18
             yield (
                 f'<rect class="legend" x="10" y="{y}" width="12" height="12" '
-                f'fill="{_COLORS[flags]}"/>\n'
+                f'fill="{fill}"/>\n'
                 f'<text x="28" y="{y + 10}" font-size="10">{label}</text>\n'
             )
         yield "</svg>\n"

@@ -13,7 +13,7 @@ from typing import Iterable, Protocol, Sequence
 
 from .errors import ImpossibleOutcomeError, ValidationError
 from .observables import Question, eigenvectors_in_reference, relative_relation
-from .states import MixedState, density_from_pure
+from .states import MixedState, _check_outcome, density_from_pure
 
 _PROB_TOL = 1e-12
 
@@ -36,14 +36,12 @@ class OutcomeStep:
     outcome: int
 
     def __post_init__(self) -> None:
-        if self.outcome not in (0, 1):
-            raise ValidationError(f"outcome must be 0 or 1, got {self.outcome!r}")
+        _check_outcome(self.outcome)
 
 
 def outcome_probability(rho: MixedState, q: Question, i: int) -> float:
     """Tr(rho |q_i><q_i|), clamped to [0, 1] on return."""
-    if i not in (0, 1):
-        raise ValidationError(f"outcome must be 0 or 1, got {i!r}")
+    _check_outcome(i)
     vec = eigenvectors_in_reference(q)[i]
     p = rho.expectation(vec)
     if p < -_PROB_TOL or p > 1.0 + _PROB_TOL:

@@ -16,8 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
-from .states import PureState, _check_finite
+from .states import PureState, _check_finite, _check_outcome
 
 _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-12
@@ -148,8 +147,8 @@ def conditional_probability(
     otherwise, hence symmetric under exchanging the two (question, outcome)
     pairs.
     """
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValidationError(f"outcomes must be 0 or 1, got ({i}, {j})")
+    _check_outcome(i)
+    _check_outcome(j)
     rel = relative_relation(from_q, to_q)
     c2 = math.cos(rel.theta) ** 2
     return c2 if i == j else 1.0 - c2

@@ -212,6 +212,6 @@ def simulate_population(
             def count():
                 return _count_spans(model, seed, _claimed(claims, size, n_agents))
 
-            joint, upper = in_two_processes(lambda: count().tobytes(), count, "simulate")
-        joint += np.frombuffer(upper, np.int64)
+            joint, upper = in_two_processes(count, count, "simulate")
+        joint += upper
     return SimulationTable(n_agents, seed, tuple(int(n) for n in joint))

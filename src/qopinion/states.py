@@ -29,6 +29,11 @@ def _check_finite(label: str, *values: complex) -> None:
             raise ValidationError(f"{label}: non-finite component {v!r}")
 
 
+def _check_outcome(i: int) -> None:
+    if i not in (0, 1):
+        raise ValidationError(f"outcome must be 0 or 1, got {i!r}")
+
+
 def _check_weights(kind: str, weights: list[float]) -> float:
     """Sum of a mixture's weights, checked to be one or more, finite, non-negative
     and summing to 1 within ``WEIGHT_TOL``; ``kind`` names a weight in errors."""

@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 
 import pytest
 
@@ -8,6 +9,34 @@ def assert_no_child_left():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def raising(exc: BaseException):
+    """A function that raises ``exc``, to stand in for a failing part."""
+
+    def fail():
+        raise exc
+
+    return fail
+
+
+class TwoArgs(Exception):
+    """Passes one of its two arguments to ``Exception``, so unpickling it
+    calls ``TwoArgs(message)`` and fails: a worker's exception that cannot
+    come back."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+class HoldsLock(Exception):
+    """Cannot be pickled at all, since a lock is one of its attributes: a
+    worker's exception that cannot even be sent."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.lock = threading.Lock()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -283,13 +283,13 @@ def test_sweep_csv_and_svg(tmp_path):
     legend = [el for el in root.iter() if el.get("class") == "legend"]
     assert len(cells) == 12
     assert len(legend) == 4
-    labels = [label for _, label in heatmap._LEGEND]
+    labels = [label for *_, label in heatmap._LEGEND]
     assert [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")][1:] == labels
 
 
 def test_heatmap_legend_labels_need_no_escaping():
     # The SVG writes them as they are.
-    for _, label in heatmap._LEGEND:
+    for *_, label in heatmap._LEGEND:
         assert escape(label, {'"': "&quot;", "'": "&apos;"}) == label
 
 

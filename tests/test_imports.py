@@ -10,6 +10,7 @@ on first access.  Each import check runs in a fresh
 interpreter, since this one has long since loaded numpy and the package.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -22,6 +23,7 @@ import qopinion
 from qopinion import cli, population
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(qopinion.__file__).parent
 
 NUMPY_FREE = [
     "chained_bases",
@@ -208,6 +210,30 @@ def test_two_span_simulation_loads_no_logging():
         " if m in sys.modules])"
     )
     assert _fresh(simulate).splitlines()[-1] == "[]"
+
+
+# What starts, kills or reaps a process, and what encodes a worker's outcome.
+PROCESS_NAMES = {"os.fork", "os.waitpid", "signal.SIGKILL", "pickle"}
+
+
+def _process_names(path: Path) -> set[str]:
+    """The names of ``PROCESS_NAMES`` that the code of ``path`` uses or
+    imports (not its comments or docstrings)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            used.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, (ast.Name, ast.alias)):
+            used.add(getattr(node, "id", None) or node.name)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            used.update({node.module, *(f"{node.module}.{a.name}" for a in node.names)})
+    return used & PROCESS_NAMES
+
+
+def test_only_the_fork_module_forks_kills_reaps_or_pickles():
+    found = {path.name: _process_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("_fork.py") == PROCESS_NAMES
+    assert {name: used for name, used in found.items() if used} == {}
 
 
 def test_heatmap_does_not_load_urllib():

@@ -5,6 +5,9 @@ import pytest
 from qopinion import (
     BasisRelation,
     ImpossibleOutcomeError,
+    conditional_probability,
+    decompose_total_probability,
+    mixed_state_total_probability,
     MAXIMALLY_MIXED,
     OutcomeStep,
     Question,
@@ -41,6 +44,30 @@ def test_outcome_probabilities_sum_to_one():
     assert abs(p0 + p1 - 1.0) < 1e-12
     with pytest.raises(ValidationError):
         outcome_probability(rho, B, 2)
+
+
+# Every entry point that takes an answer checks it with states._check_outcome.
+# The state is not diagonal in a's basis, so mixed_state_total_probability
+# must check the answer before it rejects the state.
+_NOT_DIAGONAL = pure_from_angles(0.7, 0.2)
+_OUTCOME_TAKERS = {
+    "outcome_probability": lambda o: outcome_probability(density_from_pure(_NOT_DIAGONAL), B, o),
+    "OutcomeStep": lambda o: OutcomeStep(A, o),
+    "decompose_total_probability": lambda o: decompose_total_probability(_NOT_DIAGONAL, A, B, o),
+    "mixed_state_total_probability": lambda o: mixed_state_total_probability(
+        density_from_pure(_NOT_DIAGONAL), A, B, o),
+    "conditional_probability_from": lambda o: conditional_probability(A, o, B, 1),
+    "conditional_probability_to": lambda o: conditional_probability(A, 0, B, o),
+}
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+@pytest.mark.parametrize("taker", sorted(_OUTCOME_TAKERS))
+def test_every_outcome_taker_rejects_a_non_answer_alike(taker, bad):
+    with pytest.raises(ValidationError) as info:
+        _OUTCOME_TAKERS[taker](bad)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"outcome must be 0 or 1, got {bad!r}"
 
 
 def test_mean_and_variance():

@@ -32,7 +32,7 @@ from qopinion.population import (
 )
 from qopinion.states import _as_density
 
-from conftest import assert_no_child_left
+from conftest import HoldsLock, TwoArgs, assert_no_child_left, raising
 
 A = Question("a")
 B = Question("b", BasisRelation(0.2, 0.0))
@@ -299,6 +299,20 @@ def test_worker_killed_by_a_signal_exits_3(tmp_path, monkeypatch, capfd):
     code, out = _simulate_cli(tmp_path, 2 * SPLIT)
     assert code == 3
     assert capfd.readouterr().err == f"simulate worker ended by signal {int(signal.SIGKILL)}\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("split_at_2_15")
+@pytest.mark.parametrize("exc", [TwoArgs("lost on the way back", 2), HoldsLock("never sent")],
+                         ids=["extra-init-argument", "unpicklable"])
+def test_worker_error_that_cannot_come_back_exits_3(tmp_path, monkeypatch, capfd, exc):
+    _fail_in_the_worker(monkeypatch, raising(exc))
+    code, out = _simulate_cli(tmp_path, 2 * SPLIT)
+    err = capfd.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("simulate worker failed; unreadable outcome (")
     assert not out.exists()
     assert_no_child_left()
 

@@ -31,7 +31,7 @@ from qopinion.analysis import sweep_blocks, sweep_fallacy_map
 from qopinion.dsl import GridRange
 from qopinion.heatmap import fallacy_heatmap_svg
 
-from conftest import assert_no_child_left
+from conftest import HoldsLock, TwoArgs, assert_no_child_left, raising
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -228,6 +228,25 @@ def test_worker_killed_by_a_signal_exits_3(tmp_path, monkeypatch, capfd):
     _fail_in(monkeypatch, "worker", lambda: os.kill(os.getpid(), signal.SIGKILL))
     assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
     assert capfd.readouterr().err == f"sweep worker ended by signal {int(signal.SIGKILL)}\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [TwoArgs("lost on the way back", 2), HoldsLock("never sent")],
+                         ids=["extra-init-argument", "unpicklable"])
+def test_a_worker_error_that_cannot_come_back_exits_3_with_one_line(tmp_path, monkeypatch,
+                                                                      capfd, exc):
+    _fail_in(monkeypatch, "worker", raising(exc))
+    assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 3
+    out, err = capfd.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("sweep worker failed; unreadable outcome (")
+    assert_no_child_left()
+
+
+def test_a_worker_cli_error_keeps_its_exit_code(tmp_path, monkeypatch, capfd):
+    _fail_in(monkeypatch, "worker", raising(cli._CliError("x", 2)))
+    assert _sweep(tmp_path, "0.01:3.13:40", "0.2:2.9:4") == 2
+    assert capfd.readouterr() == ("", "x\n")
     assert_no_child_left()
 
 
