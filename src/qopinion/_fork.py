@@ -7,14 +7,19 @@ second process, and this protocol the one format in which results cross:
   ``(True, result)`` of its work, or ``(False, exc)`` for the exception that
   ended it, to a pipe, prints nothing and leaves by ``os._exit(0)``.  So it
   never returns to the caller's code and flushes no buffer it inherited, and
-  its exit status only says whether a signal killed it.
+  its exit status only says whether a signal killed it.  A result or
+  exception that does not survive the pickle round trip is sent as
+  ``(False, QOpinionError("<name> worker failed; unreadable outcome (<its
+  repr>: <the pickling error>)"))``, so its message still reaches this
+  process.
 - This process runs its own part meanwhile.  If that raises, it kills the
   worker and raises its own error: the command reports one failure.
 - Either way it reaps the worker before it returns.  A worker ended by a
   signal raises ``QOpinionError("<name> worker ended by signal N")``; a
   worker's exception is raised here with its type and message, and reported
-  by the command like one of its own.  An outcome that does not survive the
-  pickle round trip raises ``QOpinionError("<name> worker failed; ...")``.
+  by the command like one of its own.  No outcome at all (a worker that
+  left early), or one that still cannot be unpickled here, raises
+  ``QOpinionError("<name> worker failed; unreadable outcome (<the error>)")``.
 
 The fork copies only the calling thread, so the work runs Python,
 element-wise numpy and the generator only, never a BLAS routine, whose
@@ -39,7 +44,7 @@ def in_two_processes(work, own, name: str):
         with open(write, "wb") as pipe:  # closed here: read() ends as the worker exits
             pid = os.fork()
             if not pid:
-                _worker(pipe, work)
+                _worker(pipe, work, name)
         try:
             mine = own()
             data = result.read()
@@ -59,7 +64,7 @@ def in_two_processes(work, own, name: str):
     return mine, value
 
 
-def _worker(pipe, work) -> NoReturn:
+def _worker(pipe, work, name: str) -> NoReturn:
     """The forked worker's whole life: ``work()``, its pickled outcome
     written to ``pipe``, then ``os._exit(0)``."""
     try:
@@ -68,7 +73,13 @@ def _worker(pipe, work) -> NoReturn:
             outcome = True, work()
         except BaseException as exc:  # raised again by the caller
             outcome = False, exc
-        pipe.write(pickle.dumps(outcome))
+        try:
+            pickle.loads(data := pickle.dumps(outcome))  # the round trip, tried here
+        except Exception as exc:  # sent instead: one error that names the outcome
+            what = " ".join(f"{outcome[1]!r}: {exc!r}".split())  # on one line
+            failure = QOpinionError(f"{name} worker failed; unreadable outcome ({what})")
+            data = pickle.dumps((False, failure))
+        pipe.write(data)
         pipe.flush()
     finally:
         os._exit(0)

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dsl import GridRange
 from .errors import ValidationError
 from .fallacy import (
     FallacyReport,
-    RegimeClass,
     _fallacy,
     _relation_terms,
     classify_regime,
@@ -33,20 +30,17 @@ from .observables import (
 from .states import pure_from_angles
 
 
-@dataclass(frozen=True, eq=False)
 class SweepResult(FallacyReport):
-    """Fallacy raster over (theta, theta_a): a :class:`FallacyReport` of arrays.
+    """Fallacy raster over (theta, theta_a): a :class:`FallacyReport` of arrays,
+    then the arrays ``theta`` and ``theta_a``, the float ``phi`` and ``regime``.
 
     Each report field is an array of shape ``(len(theta), len(theta_a))``,
     and cell (i, k) equals the report for ``theta[i]`` and ``theta_a[k]``:
     row i holds ``theta[i]``, so flattening is row-major in theta.
-    ``regime`` holds one class per theta row.
+    ``regime`` holds one :class:`fallacy.RegimeClass` per theta row.
     """
 
-    theta: np.ndarray
-    theta_a: np.ndarray
-    phi: float
-    regime: tuple[RegimeClass, ...]
+    __slots__ = ("theta", "theta_a", "phi", "regime")
 
     def __len__(self) -> int:
         """Number of cells."""
@@ -173,9 +167,7 @@ def sweep_blocks(
             per_row([_relation_terms(relative_relation(b, reference)) for b in bs]),
         )
         regime = tuple(classify_regime(theta) for theta in values)
-        return SweepResult(
-            theta=np.array(values), theta_a=np.array(theta_as), phi=phi, regime=regime, **cells
-        )
+        return SweepResult(*cells, np.array(values), np.array(theta_as), phi, regime)
 
     return map(block, (thetas[start:start + rows] for start in range(0, len(thetas), rows)))
 

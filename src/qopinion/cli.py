@@ -27,7 +27,6 @@ import shutil
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, NoReturn, TextIO
 
 from . import dsl
@@ -45,6 +44,7 @@ from .states import (
     MixedState,
     PureState,
     _as_density,
+    _Record,
     density_from_pure,
     mix,
     pure_from_angles,
@@ -60,7 +60,7 @@ if TYPE_CHECKING:
 
 # The columns shared by the fallacy and sweep CSVs: a FallacyReport's fields,
 # six values, then four flags.
-_FALLACY_FIELDS = [f.name for f in fields(FallacyReport)]
+_FALLACY_FIELDS = FallacyReport._fields
 SWEEP_HEADER = ",".join(["theta", "theta_a", "phi", *_FALLACY_FIELDS, "regime"])
 
 
@@ -93,11 +93,10 @@ def _row(*values) -> str:
     return ",".join(map(_cell, values))
 
 
-@dataclass
-class Runtime:
-    questions: dict[str, Question]
-    states: dict[str, PureState | MixedState]
-    populations: dict[str, PopulationSpec]
+class Runtime(_Record):
+    """A spec's ``questions``, ``states`` and ``populations``, each a dict by name."""
+
+    __slots__ = ("questions", "states", "populations")
 
 
 def build_runtime(spec: dsl.ExperimentSpec) -> Runtime:
@@ -456,7 +455,8 @@ def cmd_simulate(args) -> int:
     tasks = tuple(t for t in spec.tasks if t.kind == "simulate")
     if not tasks:
         raise ValidationError(f"{args.file}: no simulate tasks")
-    lines = _task_lines(replace(spec, tasks=tasks), seed=args.seed, agents=args.agents)
+    spec = dsl.ExperimentSpec(spec.questions, spec.states, spec.populations, tasks)
+    lines = _task_lines(spec, seed=args.seed, agents=args.agents)
     with _output(args.out) as fh:
         fh.writelines(f"{line}\n" for line in lines)
     return 0

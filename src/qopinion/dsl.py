@@ -37,17 +37,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import QOpinionError, ValidationError
-from .states import _check_weights
+from .states import _check_weights, _Record
 
 
-@dataclass(frozen=True)
-class ParseError:
-    line: int
-    column: int
-    message: str
+class ParseError(_Record):
+    """One diagnostic: its ``line`` and ``column`` and its ``message``."""
+
+    __slots__ = ("line", "column", "message")
 
     def __str__(self) -> str:
         return f"line {self.line}, col {self.column}: {self.message}"
@@ -61,58 +59,51 @@ class ExperimentSyntaxError(QOpinionError):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-@dataclass(frozen=True)
-class QuestionDecl:
-    name: str
-    base: str | None = None
-    theta: float = 0.0
-    phi: float = 0.0
+class QuestionDecl(_Record):
+    __slots__ = ("name", "base", "theta", "phi")
+
+    def __init__(self, name: str, base: str | None = None, theta: float = 0.0, phi: float = 0.0):
+        super().__init__(name, base, theta, phi)
 
 
-@dataclass(frozen=True)
-class PureStateDecl:
-    name: str
-    basis: str
-    theta_a: float
-    phi_a: float = 0.0
+class PureStateDecl(_Record):
+    __slots__ = ("name", "basis", "theta_a", "phi_a")
+
+    def __init__(self, name: str, basis: str, theta_a: float, phi_a: float = 0.0):
+        super().__init__(name, basis, theta_a, phi_a)
 
 
-@dataclass(frozen=True)
-class MixedStateDecl:
-    name: str
-    basis: str
-    p1: float
+class MixedStateDecl(_Record):
+    __slots__ = ("name", "basis", "p1")
 
 
-@dataclass(frozen=True)
-class PopulationDecl:
-    name: str
-    components: tuple[tuple[float, str], ...]
+class PopulationDecl(_Record):
+    """``components`` holds a (fraction, state name) pair per term."""
+
+    __slots__ = ("name", "components")
 
 
-@dataclass(frozen=True)
-class GridRange:
+class GridRange(_Record):
     """Inclusive linear range with a fixed number of points (>= 2)."""
 
-    start: float
-    stop: float
-    steps: int
+    __slots__ = ("start", "stop", "steps")
 
-    def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValidationError(f"grid needs at least 2 steps, got {self.steps}")
-        if not math.isfinite(self.stop - self.start):  # also catches inf/nan bounds
+    def __init__(self, start: float, stop: float, steps: int) -> None:
+        if steps < 2:
+            raise ValidationError(f"grid needs at least 2 steps, got {steps}")
+        if not math.isfinite(stop - start):  # also catches inf/nan bounds
             raise ValidationError("grid bounds and their difference must be finite")
+        super().__init__(start, stop, steps)
 
     def values(self) -> list[float]:
         h = (self.stop - self.start) / (self.steps - 1)
         return [self.start + k * h for k in range(self.steps)]
 
 
-@dataclass(frozen=True, eq=True)
-class Task:
-    kind: str
-    args: tuple[tuple[str, object], ...]
+class Task(_Record):
+    """A task's ``kind`` and its ``args``, (key, value) pairs in canonical order."""
+
+    __slots__ = ("kind", "args")
 
     def arg(self, key: str):
         for k, v in self.args:
@@ -121,12 +112,26 @@ class Task:
         raise KeyError(key)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    questions: tuple[QuestionDecl, ...] = ()
-    states: tuple[PureStateDecl | MixedStateDecl, ...] = ()
-    populations: tuple[PopulationDecl, ...] = ()
-    tasks: tuple[Task, ...] = ()
+class _DataclassFields:
+    """``__dataclass_fields__``, made on first lookup, which only code that has
+    imported dataclasses makes: so ``dataclasses.replace(spec, tasks=...)``,
+    as perfbench's probes call it, works on a spec."""
+
+    def __get__(self, record, cls):
+        from dataclasses import make_dataclass
+
+        return make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+
+
+class ExperimentSpec(_Record):
+    """A parsed document: tuples of its ``questions``, ``states`` (pure and
+    mixed declarations), ``populations`` and ``tasks``, each in file order."""
+
+    __slots__ = ("questions", "states", "populations", "tasks")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, questions=(), states=(), populations=(), tasks=()) -> None:
+        super().__init__(questions, states, populations, tasks)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")

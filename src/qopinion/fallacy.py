@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import PreconditionError, SingularityError
 from .measurement import OutcomeStep, consecutive_probability, outcome_probability
@@ -43,41 +42,34 @@ from .observables import (
     rotate_amplitudes,
 )
 from .states import (
-    MixedState, PureState, _check_finite, _check_outcome, density_from_pure, pure_from_angles,
+    MixedState, PureState, _check_finite, _check_outcome, _Record, density_from_pure,
+    pure_from_angles,
 )
 
 FALLACY_GUARD = 1e-12
 POLE_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(_Record):
     """Total probability split into classical two-path part plus interference."""
 
-    total: float
-    classical_part: float
-    interference: float
+    __slots__ = ("total", "classical_part", "interference")
 
 
-@dataclass(frozen=True, eq=False)
-class FallacyReport:
+class FallacyReport(_Record):
     """Both sides of the fallacy comparison at one point: P(b1) through a's
     basis and P(a1) through b's, each as classical part plus interference,
     and the direct and reverse flags on each side.
 
-    The fields are the fallacy columns of the CLI's CSV, in order.
+    The fields, ``_fields``, are the fallacy columns of the CLI's CSV, in
+    order: six floats, then four flags.  Reports compare by identity.
     """
 
-    p_a1: float
-    p_b1: float
-    classical_b1: float
-    interference_b1: float
-    classical_a1: float
-    interference_a1: float
-    fallacy_b: bool
-    fallacy_a: bool
-    reverse_b: bool
-    reverse_a: bool
+    __slots__ = (
+        "p_a1", "p_b1", "classical_b1", "interference_b1", "classical_a1", "interference_a1",
+        "fallacy_b", "fallacy_a", "reverse_b", "reverse_a",
+    )
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 class RegimeClass(enum.Enum):
@@ -86,8 +78,7 @@ class RegimeClass(enum.Enum):
     ANTICORRELATED = "anticorrelated"
 
 
-@dataclass(frozen=True)
-class UnderextensionEstimate:
+class UnderextensionEstimate(_Record):
     """Order-interval bounds on the conjunction and the derived or-range.
 
     The conjunction has no unique order-free value here, so ``and_low`` and
@@ -98,13 +89,7 @@ class UnderextensionEstimate:
     <= P(x1), so or_high is at least both.
     """
 
-    and_low: float
-    and_high: float
-    or_low: float
-    or_high: float
-    mu_a: float
-    mu_b: float
-    underextension: bool
+    __slots__ = ("and_low", "and_high", "or_low", "or_high", "mu_a", "mu_b", "underextension")
 
 
 def _abs2(z):
@@ -134,8 +119,8 @@ def _split(alpha0, alpha1, c2, sin2t, phase, j=1):
     return classical, cross if j == 1 else -cross
 
 
-def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> dict:
-    """The fields of a :class:`FallacyReport`, as a dict: the arithmetic
+def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> tuple:
+    """The fields of a :class:`FallacyReport`, in order: the arithmetic
     shared by :func:`fallacy_report` (scalars) and
     :func:`analysis.sweep_fallacy_map` (arrays).
 
@@ -155,17 +140,12 @@ def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> dict:
     cond = a_to_b[0]  # P(b1 | a1) = P(a1 | b1)
     thr_b = p_a1 * cond
     thr_a = p_b1 * cond
-    return dict(
-        p_a1=p_a1,
-        p_b1=p_b1,
-        classical_b1=classical_b,
-        interference_b1=interference_b,
-        classical_a1=classical_a,
-        interference_a1=interference_a,
-        fallacy_b=p_b1 < thr_b - FALLACY_GUARD,
-        fallacy_a=p_a1 < thr_a - FALLACY_GUARD,
-        reverse_b=(p_b1 > thr_b + FALLACY_GUARD) & (interference_b > 0.0),
-        reverse_a=(p_a1 > thr_a + FALLACY_GUARD) & (interference_a > 0.0),
+    return (
+        p_a1, p_b1, classical_b, interference_b, classical_a, interference_a,
+        p_b1 < thr_b - FALLACY_GUARD,  # fallacy_b
+        p_a1 < thr_a - FALLACY_GUARD,  # fallacy_a
+        (p_b1 > thr_b + FALLACY_GUARD) & (interference_b > 0.0),  # reverse_b
+        (p_a1 > thr_a + FALLACY_GUARD) & (interference_a > 0.0),  # reverse_a
     )
 
 
@@ -213,7 +193,7 @@ def fallacy_report(s: PureState, a: Question, b: Question) -> FallacyReport:
     and symmetrically for the a side, with a 1e-12 guard band so boundary
     cells are deterministic."""
     return FallacyReport(
-        **_fallacy(
+        *_fallacy(
             s.amp0,
             s.amp1,
             _rotation_terms(a.relation_to_reference),
@@ -280,11 +260,6 @@ def underextension_estimate(
     or_low = mu_a + mu_b - and_high
     or_high = mu_a + mu_b - and_low
     return UnderextensionEstimate(
-        and_low=and_low,
-        and_high=and_high,
-        or_low=or_low,
-        or_high=or_high,
-        mu_a=mu_a,
-        mu_b=mu_b,
-        underextension=or_high < max(mu_a, mu_b) - FALLACY_GUARD,
+        and_low, and_high, or_low, or_high, mu_a, mu_b,
+        or_high < max(mu_a, mu_b) - FALLACY_GUARD,  # underextension
     )

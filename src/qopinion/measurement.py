@@ -8,12 +8,11 @@ decomposition identities testable downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .errors import ImpossibleOutcomeError, ValidationError
 from .observables import Question, eigenvectors_in_reference, relative_relation
-from .states import MixedState, _check_outcome, density_from_pure
+from .states import MixedState, _check_outcome, _Record, density_from_pure
 
 _PROB_TOL = 1e-12
 
@@ -28,15 +27,14 @@ class UniformStream(Protocol):
     def random(self) -> float: ...
 
 
-@dataclass(frozen=True)
-class OutcomeStep:
+class OutcomeStep(_Record):
     """One link of an ordered answer chain: a question and its answer."""
 
-    question: Question
-    outcome: int
+    __slots__ = ("question", "outcome")
 
-    def __post_init__(self) -> None:
-        _check_outcome(self.outcome)
+    def __init__(self, question: Question, outcome: int) -> None:
+        _check_outcome(outcome)
+        super().__init__(question, outcome)
 
 
 def outcome_probability(rho: MixedState, q: Question, i: int) -> float:

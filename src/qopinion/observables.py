@@ -14,40 +14,36 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-
-from .states import PureState, _check_finite, _check_outcome
+from .states import PureState, _check_finite, _check_outcome, _Record
 
 _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BasisRelation:
+class BasisRelation(_Record):
     """Rotation angles (theta, phi) between two eigenbases.
 
     Canonicalized on construction to theta in [0, pi) and phi in [0, 2*pi):
     shifting theta by pi only flips eigenvector signs, which is unobservable.
     """
 
-    theta: float
-    phi: float
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self) -> None:
-        _check_finite("BasisRelation", self.theta, self.phi)
-        object.__setattr__(self, "theta", self.theta % math.pi)
-        object.__setattr__(self, "phi", self.phi % _TWO_PI)
+    def __init__(self, theta: float, phi: float) -> None:
+        _check_finite("BasisRelation", theta, phi)
+        super().__init__(theta % math.pi, phi % _TWO_PI)
 
 
 IDENTITY_RELATION = BasisRelation(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(_Record):
     """Named two-outcome observable with eigenvalues {0, 1}."""
 
-    name: str
-    relation_to_reference: BasisRelation = field(default=IDENTITY_RELATION)
+    __slots__ = ("name", "relation_to_reference")
+
+    def __init__(self, name: str, relation_to_reference: BasisRelation = IDENTITY_RELATION):
+        super().__init__(name, relation_to_reference)
 
 
 def _rotation_terms(rel: BasisRelation) -> tuple[float, float, complex]:

@@ -10,7 +10,6 @@ its agents with one forked worker process, which it reaps before it returns.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,24 +19,24 @@ from .fallacy import FALLACY_GUARD
 from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
 from .observables import Question, conditional_probability
-from .states import MixedState, PureState, _as_density, _check_weights
+from .states import _as_density, _check_weights, _Record
 
 
-@dataclass(frozen=True)
-class PopulationComponent:
-    fraction: float
-    preparation: PureState | MixedState
-    label: str
+class PopulationComponent(_Record):
+    """A ``fraction`` of the crowd, answering from its ``preparation`` (a
+    :class:`states.PureState` or :class:`states.MixedState`), under ``label``."""
+
+    __slots__ = ("fraction", "preparation", "label")
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(_Record):
     """Labeled mixture of preparations; fractions obey :func:`states._check_weights`."""
 
-    components: tuple[PopulationComponent, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        _check_weights("fraction", [c.fraction for c in self.components])
+    def __init__(self, components: tuple[PopulationComponent, ...]) -> None:
+        _check_weights("fraction", [c.fraction for c in components])
+        super().__init__(components)
 
 
 # Rows of uniforms per draw: memory stays O(chunk) whatever the agent count.
@@ -64,18 +63,16 @@ _SPLIT_AGENTS = 8_000_000
 _CLAIMS = 1024
 
 
-@dataclass(frozen=True)
-class SimulationTable:
-    """Empirical answer frequencies for the two ordered sequences.
+class SimulationTable(_Record):
+    """Empirical answer frequencies for the two ordered sequences: ``n_agents``,
+    ``seed`` and ``joint_counts``.
 
     ``joint_counts[code]`` is the number of agents whose four yes/no answers
     pack to the answer code ``code`` of :mod:`kernels` (``aA | aB<<1 |
     bB<<2 | bA<<3``).  The 16 counts sum to ``n_agents``.
     """
 
-    n_agents: int
-    seed: int
-    joint_counts: tuple[int, ...]
+    __slots__ = ("n_agents", "seed", "joint_counts")
 
     def _count(self, bits: int) -> int:
         """Agents who answered yes to every answer in ``bits``."""

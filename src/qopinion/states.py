@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
 
 from .errors import ValidationError
 
@@ -51,8 +51,50 @@ def _check_weights(kind: str, weights: list[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class PureState:
+class _Record:
+    """Base of the package's immutable records.  A record's fields, ``_fields``,
+    are the ``__slots__`` of its class and of its bases in order; ``__init__``
+    sets them once, positionally, and the record compares, hashes, prints and
+    pickles as the tuple of their values.  A subclass whose fields have
+    checks, defaults or keywords writes its own ``__init__``, which ends by
+    calling this one."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = (*cls._fields, *cls.__dict__.get("__slots__", ()))
+        # Looked up once per class: each field's slot setter, and its values'
+        # getter (a tuple for two fields or more) for == and hash.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class PureState(_Record):
     """Normalized two-component opinion vector (amp0, amp1).
 
     The squared moduli are the answer probabilities for the question whose
@@ -60,16 +102,16 @@ class PureState:
     meaning; use :meth:`equals_up_to_phase` for physical equality.
     """
 
-    amp0: complex
-    amp1: complex
+    __slots__ = ("amp0", "amp1")
 
-    def __post_init__(self) -> None:
-        _check_finite("PureState", self.amp0, self.amp1)
-        norm_sq = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
+    def __init__(self, amp0: complex, amp1: complex) -> None:
+        _check_finite("PureState", amp0, amp1)
+        norm_sq = abs(amp0) ** 2 + abs(amp1) ** 2
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"PureState not normalized: |amp0|^2 + |amp1|^2 = {norm_sq!r}"
             )
+        super().__init__(amp0, amp1)
 
     @classmethod
     def normalized(cls, amp0: complex, amp1: complex) -> "PureState":
@@ -91,30 +133,28 @@ class PureState:
         return abs(abs(self.overlap(other)) - 1.0) <= tol
 
 
-@dataclass(frozen=True)
-class MixedState:
+class MixedState(_Record):
     """2x2 hermitian, trace-one, positive-semidefinite density matrix.
 
     Only ``m00``, ``m11`` and the upper off-diagonal ``m01`` are stored;
     ``m10`` is the conjugate of ``m01``.
     """
 
-    m00: float
-    m11: float
-    m01: complex
+    __slots__ = ("m00", "m11", "m01")
 
-    def __post_init__(self) -> None:
-        _check_finite("MixedState", self.m00, self.m11, self.m01)
-        if abs(self.m00 + self.m11 - 1.0) > TRACE_TOL:
+    def __init__(self, m00: float, m11: float, m01: complex) -> None:
+        _check_finite("MixedState", m00, m11, m01)
+        if abs(m00 + m11 - 1.0) > TRACE_TOL:
             raise ValidationError(
-                f"MixedState trace {self.m00 + self.m11!r} != 1"
+                f"MixedState trace {m00 + m11!r} != 1"
             )
-        det = self.m00 * self.m11 - abs(self.m01) ** 2
-        if self.m00 < -PSD_TOL or self.m11 < -PSD_TOL or det < -PSD_TOL:
+        det = m00 * m11 - abs(m01) ** 2
+        if m00 < -PSD_TOL or m11 < -PSD_TOL or det < -PSD_TOL:
             raise ValidationError(
                 f"MixedState not positive semidefinite "
-                f"(m00={self.m00!r}, m11={self.m11!r}, det={det!r})"
+                f"(m00={m00!r}, m11={m11!r}, det={det!r})"
             )
+        super().__init__(m00, m11, m01)
 
     @property
     def m10(self) -> complex:

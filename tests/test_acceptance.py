@@ -383,13 +383,21 @@ def test_criterion_11_population_linearity():
     )
 
 
+def _types(spec) -> list[type]:
+    """The type of each declaration and task of ``spec``, in order: a
+    declaration read back as another kind with equal values must not count."""
+    parts = (spec.questions, spec.states, spec.populations, spec.tasks)
+    return [type(record) for part in parts for record in part]
+
+
 def test_criterion_12_dsl_round_trip_and_diagnostics():
     assert len(GOLDEN) >= 10
     round_trip_ok = True
     for path in GOLDEN:
         spec = parse(path.read_text())
         text = render(spec)
-        if parse(text) != spec or render(parse(text)) != text:
+        again = parse(text)
+        if again != spec or _types(again) != _types(spec) or render(again) != text:
             round_trip_ok = False
     cases = 0
     correct = 0

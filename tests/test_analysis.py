@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 
@@ -273,11 +272,11 @@ def test_sweep_matches_scalar_report(theta_grid, theta_a_grid, phi):
         s = pure_from_angles(theta_a, 0.0)
         rep = fallacy_report(s, A, Question("b", BasisRelation(theta, phi)))
         assert sweep.regime[cell[0]] is classify_regime(theta)
-        for field in dataclasses.fields(FallacyReport):
-            batch, scalar = getattr(sweep, field.name)[cell], getattr(rep, field.name)
+        for field in FallacyReport._fields:
+            batch, scalar = getattr(sweep, field)[cell], getattr(rep, field)
             # Same arithmetic, so the same bits; signed zeros print as "0" or "-0".
-            assert batch == scalar, field.name
-            assert format(batch, ".17g") == format(scalar, ".17g"), field.name
+            assert batch == scalar, field
+            assert format(batch, ".17g") == format(scalar, ".17g"), field
         oracle_b = brute_force_outcome_probability(s, BasisRelation(theta, phi), 1)
         oracle_a = brute_force_outcome_probability(s, BasisRelation(0.0, 0.0), 1)
         assert abs(sweep.p_b1[cell] - oracle_b) <= 1e-12
@@ -308,12 +307,12 @@ def test_sweep_blocks_are_the_raster_rows_bit_for_bit(theta_grid, theta_a_grid, 
         assert block.regime == whole.regime[start:stop]
         for got, want in ((block.theta, whole.theta[start:stop]), (block.theta_a, whole.theta_a)):
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        for field in dataclasses.fields(FallacyReport):
-            got, want = getattr(block, field.name), getattr(whole, field.name)[start:stop]
-            assert got.dtype == want.dtype, field.name
+        for field in FallacyReport._fields:
+            got, want = getattr(block, field), getattr(whole, field)[start:stop]
+            assert got.dtype == want.dtype, field
             if got.dtype == np.float64:  # as bits, so signed zeros count
                 got, want = got.view(np.uint64), want.view(np.uint64)
-            assert got.tolist() == want.tolist(), field.name
+            assert got.tolist() == want.tolist(), field
         start = stop
     assert start == hi
 

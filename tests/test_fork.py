@@ -2,7 +2,8 @@
 
 The worker's value and its failure come back in one pickle: a result of any
 picklable type, an exception with its type and message, and a failure to
-cross the pipe as one ``QOpinionError``.  A worker ended by a signal, or
+cross the pipe as one ``QOpinionError``, which names the outcome that could
+not cross when the worker had one.  A worker ended by a signal, or
 killed because the caller's part failed, is reaped before the call returns.
 """
 
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from qopinion import cli
 from qopinion._fork import in_two_processes
 from qopinion.errors import QOpinionError, ValidationError
 
@@ -52,21 +54,26 @@ def test_a_worker_exception_keeps_its_type_and_message(exc):
 
 
 @pytest.mark.parametrize(
-    "work",
+    "work, names",
     [
-        raising(TwoArgs("lost on the way back", 2)),  # a TypeError when unpickled
-        raising(HoldsLock("never sent")),  # an empty pipe, an EOFError when read
-        lambda: threading.Lock(),  # a result that cannot be pickled
-        lambda: os._exit(5),  # a worker that leaves before it writes anything
+        # The worker tries the round trip, and sends the outcome's repr and the
+        # error in its place where it fails.
+        (raising(TwoArgs("y", 2)), "TwoArgs('y'): TypeError("),
+        (raising(HoldsLock("y")), "HoldsLock('y'): TypeError(\"cannot pickle '_thread.lock"),
+        (lambda: threading.Lock(), "<unlocked _thread.lock object at "),
+        (lambda: os._exit(5), "EOFError('Ran out of input')"),  # leaves before it writes
     ],
     ids=["extra-init-argument", "unpicklable-exception", "unpicklable-result", "no-outcome"],
 )
-def test_an_outcome_that_cannot_cross_is_one_qopinion_error(work):
+def test_an_outcome_that_cannot_cross_is_one_qopinion_error(capfd, work, names):
     with pytest.raises(QOpinionError) as info:
         in_two_processes(work, lambda: None, "demo")
     assert type(info.value) is QOpinionError
-    assert str(info.value).startswith("demo worker failed; unreadable outcome (")
+    assert str(info.value).startswith(f"demo worker failed; unreadable outcome ({names}")
     assert "\n" not in str(info.value)
+    # The command prints it as its one line and exits 3.
+    assert cli._report(info.value) == 3
+    assert capfd.readouterr() == ("", f"{info.value}\n")
 
 
 def test_a_signalled_worker_is_reported_by_its_signal():

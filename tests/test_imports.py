@@ -83,11 +83,17 @@ def _fresh(code: str) -> str:
     ).stdout
 
 
+def _loaded(modules: tuple[str, ...], code: str) -> list[str]:
+    """Those of ``modules`` that are in ``sys.modules`` after ``code`` runs in
+    a fresh interpreter."""
+    probe = code + f"\nimport sys\nprint(*[m for m in {modules!r} if m in sys.modules])\n"
+    return _fresh(probe).splitlines()[-1].split()
+
+
 def _loads(module: str, code: str) -> bool:
     """Whether ``module`` is in ``sys.modules`` after ``code`` runs in a fresh
     interpreter."""
-    probe = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
-    return _fresh(probe).split()[-1] == "True"
+    return _loaded((module,), code) == [module]
 
 
 def _run_file(stem: str) -> str:
@@ -152,6 +158,19 @@ def test_point_wise_file_does_not_load_numpy(stem):
         "\nimport sys\nprint([m for m in ('numpy', 'qopinion._fork') if m in sys.modules])"
     )
     assert _fresh(probe).splitlines()[-1] == "[]"
+
+
+# dataclasses and what it imports, which nothing else on the numpy-free path
+# loads: importing them and generating the classes took ~17 ms of a ~80 ms
+# point-wise run, so the package's records are plain classes instead.
+DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "copy")
+
+
+@pytest.mark.parametrize(
+    "code", ["import qopinion.cli", *map(_run_file, NUMPY_FREE)], ids=["import", *NUMPY_FREE]
+)
+def test_numpy_free_path_loads_no_dataclass_machinery(code):
+    assert _loaded(DATACLASS_MODULES, code) == []
 
 
 @pytest.mark.parametrize("stem", NUMPY_USERS)

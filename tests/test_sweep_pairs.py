@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))  # sweep_pairs imports bench_pairs as a sibling
 _SPEC = importlib.util.spec_from_file_location("sweep_pairs", TOOLS / "sweep_pairs.py")
@@ -154,3 +156,96 @@ def test_simulate_reading_is_the_golden_files_simulation(tmp_path):
     assert reading["wall_s"] > 0 and reading["max_rss_mb"] > 0
     assert reading["csv"] == sweep_pairs.simulate(tree, 1000, tmp_path)["csv"]
     assert list(tmp_path.iterdir()) == []
+
+
+def _golden(walls: dict[str, float], same: bool = True) -> dict:
+    """A golden pass's reading: each file's wall time, a max RSS and whether
+    its CSV matched."""
+    return {"golden": {stem: {"wall_s": w, "max_rss_mb": 30.0, "same": same}
+                       for stem, w in walls.items()}}
+
+
+def test_golden_summary_is_per_file_and_per_pass():
+    runs = {
+        "base": [_golden({"a": 0.08, "b": 0.20}), _golden({"a": 0.09, "b": 0.21})],
+        "change": [_golden({"a": 0.06, "b": 0.20}), _golden({"a": 0.07, "b": 0.22})],
+    }
+    out = sweep_pairs.summarise(runs, [12.0, 12.0], [0.04, 0.05])
+    assert out["golden"]["a"]["wall_s"]["change_wins"] == 2
+    assert out["golden"]["b"]["wall_s"]["change_wins"] == 0  # a tie, then a loss
+    assert out["golden"]["a"]["wall_s"]["base"] == sweep_pairs.spread([0.08, 0.09])
+    assert out["golden"]["b"]["max_rss_mb"]["change"] == sweep_pairs.spread([30.0, 30.0])
+    # The pass sums its files: 0.28 -> 0.26 and 0.30 -> 0.29.
+    assert out["golden"]["pass"]["change_wins"] == 2
+    assert out["golden"]["pass"]["base"]["values"] == [0.28, 0.30]
+    assert out["floor_wall_s"] == sweep_pairs.spread([0.04, 0.05])
+    assert out["floor_rss_mb"] == sweep_pairs.spread([12.0, 12.0])
+    assert out["same_bytes"] == {"golden": True}
+    runs["change"][1] = _golden({"a": 0.07, "b": 0.22}, same=False)
+    assert sweep_pairs.summarise(runs, [12.0, 12.0], [0.04, 0.05])["same_bytes"] == {
+        "golden": False,
+    }
+
+
+def test_golden_mode_runs_the_files_on_alternating_sides(tmp_path, monkeypatch):
+    calls = []
+
+    def golden(tree, out):
+        calls.append(("golden", tree.name))
+        return _golden({"a": 0.1 if tree.name == "base" else 0.08})["golden"]
+
+    def spawn(argv, env):
+        calls.append(tuple(argv))
+        return {"wall_s": 0.04, "max_rss_mb": 12.0}
+
+    def refused(*args):
+        pytest.fail("a sweep or a run in --golden mode")
+
+    monkeypatch.setattr(sweep_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(sweep_pairs, "golden", golden)
+    monkeypatch.setattr(sweep_pairs, "sweep", refused)
+    monkeypatch.setattr(sweep_pairs, "run", refused)
+    monkeypatch.setattr(sweep_pairs, "spawn", spawn)
+    monkeypatch.setattr(sweep_pairs, "extract", lambda treeish, name: tmp_path / "base")
+    monkeypatch.setattr(sweep_pairs, "snapshot", lambda: tmp_path / "change")
+    monkeypatch.setattr(sweep_pairs, "_git", lambda *args: "0" * 40)
+    out = tmp_path / "pairs.json"
+    assert sweep_pairs.main(["--base", "HEAD", "--golden", "--pairs", "2", "--out", str(out)]) == 0
+    assert calls == [
+        ("-c", "pass"), ("golden", "base"), ("golden", "change"),
+        ("-c", "pass"), ("golden", "change"), ("golden", "base"),
+    ]
+    result = json.loads(out.read_text())
+    assert (result["golden"]["a"]["wall_s"]["change_wins"], result["size"]) == (2, None)
+    assert result["golden"]["pass"]["change_wins"] == 2
+    assert result["floor_wall_s"]["median"] == 0.04
+    assert result["same_bytes"] == {"golden": True}
+    assert "--golden" in result["command"] and "--size" not in result["command"]
+
+
+def test_size_and_golden_exclude_each_other(capsys):
+    for argv in (["--size", "8", "--golden"], []):
+        with pytest.raises(SystemExit):
+            sweep_pairs.main(["--base", "HEAD", "--pairs", "2", "--out", "x", *argv])
+    assert "--golden" in capsys.readouterr().err
+
+
+def test_golden_reading_checks_each_csv_against_its_golden_file(tmp_path):
+    # A tree of this checkout's sources and two golden files, one of whose
+    # checked-in CSVs has lost its last byte.
+    root = Path(__file__).resolve().parents[1]
+    tree, out = tmp_path / "tree", tmp_path / "out"
+    (tree / "tests" / "golden").mkdir(parents=True)
+    out.mkdir()
+    (tree / "src").symlink_to(root / "src")
+    for stem, cut in (("fallacy_basic", 0), ("underextension", 1)):
+        for suffix in (".qx", ".csv"):
+            data = (root / "tests" / "golden" / f"{stem}{suffix}").read_bytes()
+            (tree / "tests" / "golden" / f"{stem}{suffix}").write_bytes(
+                data[: len(data) - cut] if suffix == ".csv" else data
+            )
+    readings = sweep_pairs.golden(tree, out)
+    assert list(readings) == ["fallacy_basic", "underextension"]
+    assert [r["same"] for r in readings.values()] == [True, False]
+    assert all(r["wall_s"] > 0 and r["max_rss_mb"] > 0 for r in readings.values())
+    assert list(out.iterdir()) == []

@@ -240,6 +240,7 @@ def test_a_worker_error_that_cannot_come_back_exits_3_with_one_line(tmp_path, mo
     out, err = capfd.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("sweep worker failed; unreadable outcome (")
+    assert str(exc) in err
     assert_no_child_left()
 
 

@@ -1,6 +1,6 @@
 """Alternating base/change pairs of one ``qopinion sweep --svg``, summarised.
 
-    python3 tools/sweep_pairs.py --base REV --size N --pairs P [--phi X]
+    python3 tools/sweep_pairs.py --base REV (--size N | --golden) --pairs P [--phi X]
         [--simulate AGENTS] --out FILE
 
 Each side is a fresh tree, as ``tools/bench_pairs.py`` makes them: REV under
@@ -21,6 +21,14 @@ times and max RSS, the pairs the change won (ties count for neither), the
 floor's spread, and whether the bytes were equal in every pair: the sweep's
 CSV and SVG and the simulation's CSV on the two sides, and each run's CSV
 after its ``# task`` line with its side's sweep CSV.
+With ``--golden`` in place of ``--size``, each side runs ``python -m qopinion
+run FILE --out`` once for each ``tests/golden/*.qx`` of its own tree instead
+of the sweep and the run, and checks each CSV byte for byte against the
+``tests/golden/<stem>.csv`` beside it.  FILE then gets under ``golden``, per
+file and for the pass over all of them (its wall times summed), each side's
+median and quartiles and the pairs the change won, and the floor's wall-time
+spread, the share of a file's time that no change to qopinion can remove;
+``same_bytes`` says whether every CSV matched.
 It also gets the Python settings of ``bench_pairs.PYTHON_ENV`` as this
 process had them (null when unset), which every child inherits.
 """
@@ -101,24 +109,60 @@ def simulate(tree: Path, agents: int, out: Path) -> dict:
     return reading
 
 
+def golden(tree: Path, out: Path) -> dict:
+    """``python -m qopinion run FILE --out`` from ``tree`` once for each of its
+    ``tests/golden/*.qx``, keyed by stem: :func:`spawn`'s readings and whether
+    the CSV, then removed, is byte for byte the ``.csv`` beside the file."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    csv, readings = out / "golden.csv", {}
+    for qx in sorted((tree / "tests" / "golden").glob("*.qx")):
+        reading = spawn(["-m", "qopinion", "run", str(qx), "--out", str(csv)], env)
+        reading["same"] = csv.read_bytes() == qx.with_suffix(".csv").read_bytes()
+        csv.unlink()
+        readings[qx.stem] = reading
+    return readings
+
+
 def _compare(base: list[dict], change: list[dict]) -> dict:
     """Per-metric :func:`compare` of the sides (lower is better for both)."""
     return {name: compare([r[name] for r in base], [r[name] for r in change])
             for name in METRICS}
 
 
-def summarise(runs: dict[str, list[dict]], floor: list[float]) -> dict:
-    """The sweeps' :func:`_compare`, the runs' under ``run`` and, where the
-    readings have them, the simulations' under ``simulate``, the floor's
-    spread, and the byte comparison."""
+def _summarise_golden(base: list[dict], change: list[dict]) -> dict:
+    """Each file's :func:`_compare` over the sides' :func:`golden` passes, by
+    stem, and under ``pass`` the :func:`compare` of the passes' summed walls."""
+    out = {stem: _compare([p[stem] for p in base], [p[stem] for p in change])
+           for stem in base[0]}
+    walls = ([sum(reading["wall_s"] for reading in p.values()) for p in side]
+             for side in (base, change))
+    out["pass"] = compare(*walls)
+    return out
+
+
+def summarise(runs: dict[str, list[dict]], floor: list[float],
+              floor_wall: list[float] | None = None) -> dict:
+    """The sweeps' :func:`_compare`, the runs' under ``run`` (or, for
+    :func:`golden` readings, each file's and the pass's under ``golden``, with
+    the floor's wall spread ``floor_wall``) and, where the readings have them,
+    the simulations' under ``simulate``, the floor's spread, and the byte
+    comparison."""
     base, change = runs["base"], runs["change"]
-    out = _compare(base, change)
-    out["run"] = _compare(*([r["run"] for r in side] for side in (base, change)))
+    if "golden" in base[0]:
+        passes = [[r["golden"] for r in side] for side in (base, change)]
+        out = {"golden": _summarise_golden(*passes), "floor_wall_s": spread(floor_wall)}
+        out["same_bytes"] = {"golden": all(
+            reading["same"] for side in passes for p in side for reading in p.values()
+        )}
+    else:
+        out = _compare(base, change)
+        out["run"] = _compare(*([r["run"] for r in side] for side in (base, change)))
+        out["same_bytes"] = {
+            kind: all(b[kind] == c[kind] for b, c in zip(base, change))
+            for kind in ("csv", "svg")
+        }
+        out["same_bytes"]["run"] = all(r["run"]["csv"] == r["csv"] for r in base + change)
     out["floor_rss_mb"] = spread(floor)
-    out["same_bytes"] = {
-        kind: all(b[kind] == c[kind] for b, c in zip(base, change)) for kind in ("csv", "svg")
-    }
-    out["same_bytes"]["run"] = all(r["run"]["csv"] == r["csv"] for r in base + change)
     if "simulate" in base[0]:
         sims = [[r["simulate"] for r in side] for side in (base, change)]
         out["simulate"] = _compare(*sims)
@@ -129,7 +173,10 @@ def summarise(runs: dict[str, list[dict]], floor: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--size", type=int, required=True, help="grid points per axis")
+    kind = parser.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--size", type=int, help="grid points per axis")
+    kind.add_argument("--golden", action="store_true",
+                      help="run each tests/golden/*.qx instead of a sweep")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--phi", default="0.3")
     parser.add_argument("--simulate", type=int, metavar="AGENTS",
@@ -146,27 +193,33 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     floor = []
     for i in range(args.pairs):
-        floor.append(spawn(["-c", "pass"], dict(os.environ))["max_rss_mb"])
+        floor.append(spawn(["-c", "pass"], dict(os.environ)))
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            reading = sweep(trees[side], args.size, args.phi, outputs)
-            reading["run"] = run(trees[side], args.size, args.phi, outputs)
+            if args.golden:
+                reading = {"golden": golden(trees[side], outputs)}
+            else:
+                reading = sweep(trees[side], args.size, args.phi, outputs)
+                reading["run"] = run(trees[side], args.size, args.phi, outputs)
             if args.simulate:
                 reading["simulate"] = simulate(trees[side], args.simulate, outputs)
             runs[side].append(reading)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
     result = {
-        "command": f"python3 tools/sweep_pairs.py --base {args.base} --size {args.size} "
-        f"--pairs {args.pairs} --phi {args.phi}"
+        "command": f"python3 tools/sweep_pairs.py --base {args.base} "
+        + ("--golden " if args.golden else f"--size {args.size} ")
+        + f"--pairs {args.pairs} --phi {args.phi}"
         + (f" --simulate {args.simulate}" if args.simulate else "") + f" --out {args.out}",
         "base": commit,
         "change": _git("rev-parse", "HEAD")
         + ("+uncommitted" if _git("status", "--porcelain") else ""),
         "size": args.size,
+        "golden": args.golden,
         "phi": args.phi,
         "simulate_agents": args.simulate,
         "pairs": args.pairs,
-        **summarise(runs, floor),
+        **summarise(runs, [f["max_rss_mb"] for f in floor],
+                    [f["wall_s"] for f in floor] if args.golden else None),
         "python_env": {name: os.environ.get(name) for name in PYTHON_ENV},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
