@@ -1,8 +1,10 @@
 """The fallacy raster and the uncertainty grid: the array half of the analysis.
 
 :func:`sweep_blocks` runs the point-wise arithmetic of :mod:`fallacy` on
-blocks of theta rows, so each cell equals :func:`fallacy.fallacy_report`
-for its point bit for bit; :func:`sweep_fallacy_map` is its one block.
+blocks of theta rows.  That arithmetic is real, on Bloch vectors, and
+float64 arrays round its ``+``, ``-``, ``*`` and ``/`` as Python floats do,
+so each cell equals :func:`fallacy.fallacy_report` for its point bit for
+bit with no complex batch type; :func:`sweep_fallacy_map` is its one block.
 :func:`csv_rows` writes a block's CSV lines, a byte matrix at a time.
 This module, :mod:`heatmap`, :mod:`population` and :mod:`kernels` are the
 package's numpy users; the scalar tasks never import them, and nor does a
@@ -18,14 +20,9 @@ import numpy as np
 
 from .dsl import GridRange
 from .errors import ValidationError
-from .fallacy import (
-    FallacyReport,
-    _fallacy,
-    _relation_terms,
-    classify_regime,
-)
+from .fallacy import FallacyReport, _axis, _bloch, _fallacy, classify_regime
 from .observables import (
-    BasisRelation, Question, _rotation_terms, eigenvectors_in_reference, relative_relation
+    BasisRelation, Question, conditional_probability, eigenvectors_in_reference
 )
 from .states import pure_from_angles
 
@@ -47,72 +44,10 @@ class SweepResult(FallacyReport):
         return self.p_a1.size
 
 
-class ComplexArray:
-    """A batch of complex numbers held as real and imaginary float arrays.
-
-    The operators repeat CPython's ``complex`` formulas step by step (a real
-    operand is promoted to ``complex(x, 0.0)``, as up to Python 3.13;
-    division is Smith's method) and ``abs`` is libm's hypot, as for
-    ``complex``.  numpy's own complex ufuncs may fuse or reorder these
-    steps and then differ from Python in the last bit; with this type a
-    batch gives bit for bit what the scalar path gives for each of its
-    elements, signed zeros included.
-    """
-
-    __array_ufunc__ = None  # numpy operands defer to the methods below
-
-    def __init__(self, real, imag):
-        self.real = real
-        self.imag = imag
-
-    @staticmethod
-    def _parts(z):
-        if isinstance(z, (ComplexArray, complex)):
-            return z.real, z.imag
-        return z, 0.0
-
-    def conjugate(self) -> "ComplexArray":
-        return ComplexArray(self.real, -self.imag)
-
-    def __abs__(self):
-        return np.hypot(self.real, self.imag)
-
-    def abs2(self):
-        """``abs(self) ** 2`` through libm pow, as Python's ``**`` squares a
-        float; ``np.square`` and ``np.power`` round differently on some inputs."""
-        return np.float_power(abs(self), 2.0)
-
-    def __add__(self, other) -> "ComplexArray":
-        re, im = self._parts(other)
-        return ComplexArray(self.real + re, self.imag + im)
-
-    def __sub__(self, other) -> "ComplexArray":
-        re, im = self._parts(other)
-        return ComplexArray(self.real - re, self.imag - im)
-
-    def __mul__(self, other) -> "ComplexArray":
-        re, im = self._parts(other)
-        return ComplexArray(
-            self.real * re - self.imag * im, self.real * im + self.imag * re
-        )
-
-    def __truediv__(self, other) -> "ComplexArray":
-        br, bi = map(np.asarray, self._parts(other))
-        ar, ai = self.real, self.imag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wide = np.abs(br) >= np.abs(bi)
-            ratio = np.where(wide, bi / br, br / bi)
-            denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-            real = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
-            imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-        return ComplexArray(real, imag)
-
-
-def _batch(values, shape):
-    """Values from the scalar path stacked into an array of ``shape``;
-    complex values become a :class:`ComplexArray`."""
-    z = np.array(values).reshape(shape)
-    return ComplexArray(z.real, z.imag) if np.iscomplexobj(z) else z
+def _stack(vectors, shape) -> tuple:
+    """Vectors from the scalar path stacked component by component into
+    arrays of ``shape``."""
+    return tuple(np.array(c).reshape(shape) for c in zip(*vectors))
 
 
 def _reserve_raster(rows: int, cols: int) -> None:
@@ -142,29 +77,24 @@ def sweep_blocks(
 
     Cell (i, k) prepares the real state with angle theta_a[k] and relates
     question b to the reference by (theta[i], phi); each theta row also gets
-    its correlation regime.  The per-axis terms come from the scalar code,
-    once per axis value; each block's cells are then one batch through the
-    arithmetic of :func:`fallacy.fallacy_report`, so every cell equals the
-    report for its point.
+    its correlation regime.  The Bloch vectors and cos^2 t come from the
+    scalar code, once per axis value, stacked into float arrays; each
+    block's cells are then one batch through the arithmetic of
+    :func:`fallacy.fallacy_report`, so every cell equals the report for its
+    point.
     """
     _reserve_raster(theta_grid.steps, theta_a_grid.steps)
     reference = Question("a")
     thetas, theta_as = theta_grid.values()[lo:hi], theta_a_grid.values()
     states = [pure_from_angles(theta_a, 0.0) for theta_a in theta_as]
-    amp0 = _batch([s.amp0 for s in states], (1, -1))
-    amp1 = _batch([s.amp1 for s in states], (1, -1))
-    rotate_a = _rotation_terms(reference.relation_to_reference)
-
-    def per_row(terms):  # one (n, 1) batch per term
-        return [_batch(column, (-1, 1)) for column in zip(*terms)]
+    r = _stack([_bloch(s.amp0, s.amp1) for s in states], (1, -1))
+    m_a = _axis(reference)
 
     def block(values: list[float]) -> SweepResult:  # the given theta rows
         bs = [Question("b", BasisRelation(theta, phi)) for theta in values]
         cells = _fallacy(
-            amp0, amp1, rotate_a,
-            per_row([_rotation_terms(b.relation_to_reference) for b in bs]),
-            per_row([_relation_terms(relative_relation(reference, b)) for b in bs]),
-            per_row([_relation_terms(relative_relation(b, reference)) for b in bs]),
+            r, m_a, _stack([_axis(b) for b in bs], (-1, 1)),
+            np.array([conditional_probability(reference, 1, b, 1) for b in bs])[:, None],
         )
         regime = tuple(classify_regime(theta) for theta in values)
         return SweepResult(*cells, np.array(values), np.array(theta_as), phi, regime)

@@ -1,27 +1,31 @@
 """Interference decompositions and conjunction-fallacy detection at a point.
 
-For a pure state with coordinates (alpha0, alpha1) in the basis of question
-``a``, the total probability of answering ``j`` on question ``b`` splits as
+Write the state as rho = (I + r.sigma)/2 and let m_q be the Bloch vector of
+answer 1 to question q, so that P(q1) = (1 + r.m_q)/2 and, with t the tilt
+between the bases of ``a`` and ``b``, P(b1 | a1) = cos^2 t = (1 + m_a.m_b)/2.
+The total probability of answering 1 on ``b`` splits as
 
-    P(b_j) = sum_i P(a_i) P(b_j | a_i)  +  I
+    P(b1) = sum_i P(a_i) P(b1 | a_i)  +  I
+          = (1 + (r.m_a)(m_a.m_b))/2  +  (r - (r.m_a) m_a).m_b / 2
 
-where the classical part is the two-path law of total probability and the
-interference term is
-
-    I = +- Re[alpha0 * conj(alpha1) * sin(2 theta) * e^{i phi}]
-
-with (theta, phi) the relation from ``a``'s basis to ``b``'s and the sign
-positive for j = 1.  A negative interference term can push P(b_1) below
-P(a_1) P(b_1 | a_1), the conjunction-fallacy signature; a positive one can
-push it above by more than classically possible (the reverse fallacy).
+where the classical part is the two-path law of total probability, P(b1) of
+the state dephased in a's basis, and the interference term is what r's
+coherence in that basis adds along m_b; answer 0 has the vector -m_b.  A
+negative interference term can push P(b1) below P(a1) P(b1 | a1), the
+conjunction-fallacy signature; a positive one can push it above by more
+than classically possible (the reverse fallacy).
 
 Convention note: the basis transformation used everywhere maps a real state
 with amplitude angle t_a to angle t_a + theta in the rotated basis, so the
 one closed form of :func:`closed_form_fallacy`, valid for any pure state and
 phase, reads at phi = 0 as :func:`fallacy_inequalities` gives it.
 
-This module is scalar ``math``/``cmath`` code and never imports numpy; the
-raster over many points, :mod:`analysis`, runs the same arithmetic on arrays.
+The decomposition is real arithmetic, affine in r: only ``+``, ``-``, ``*``
+and ``/`` on floats, which float64 arrays round exactly as Python floats
+do, one operation at a time.  So the raster over many points,
+:mod:`analysis`, passes arrays through the same :func:`_fallacy` and each
+cell equals the scalar report for its point by construction.  This module
+is scalar ``math``/``cmath`` code and never imports numpy.
 """
 
 from __future__ import annotations
@@ -92,52 +96,51 @@ class UnderextensionEstimate(_Record):
     __slots__ = ("and_low", "and_high", "or_low", "or_high", "mu_a", "mu_b", "underextension")
 
 
-def _abs2(z):
-    """``abs(z) ** 2``, or ``z.abs2()`` for a batch that defines it: an
-    :class:`analysis.ComplexArray` squares through the same libm pow."""
-    abs2 = getattr(z, "abs2", None)
-    return abs(z) ** 2 if abs2 is None else abs2()
+def _bloch(amp0: complex, amp1: complex) -> tuple[float, float, float]:
+    """Bloch vector r of |s><s| = (I + r.sigma)/2 for s = (amp0, amp1)."""
+    c = amp0 * amp1.conjugate()
+    return 2.0 * c.real, -2.0 * c.imag, abs(amp0) ** 2 - abs(amp1) ** 2
 
 
-def _relation_terms(rel: BasisRelation) -> tuple[float, float, complex]:
-    """(cos^2 theta, sin 2 theta, e^{i phi}): what a decomposition needs."""
-    return math.cos(rel.theta) ** 2, math.sin(2.0 * rel.theta), cmath.exp(1j * rel.phi)
+def _axis(q: Question) -> tuple[float, float, float]:
+    """m_q, the Bloch vector of answer 1's eigenvector as
+    :func:`observables.eigenvectors_in_reference` writes it, so that
+    P(q1) = (1 + r.m_q)/2."""
+    c, sn, phase = _rotation_terms(q.relation_to_reference)
+    return _bloch(sn / phase, complex(c))
 
 
-def _split(alpha0, alpha1, c2, sin2t, phase, j=1):
-    """(classical part, interference) of P(b = j).
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    ``alpha0, alpha1`` are the state's coordinates in a's basis and
-    (c2, sin2t, phase) are :func:`_relation_terms` of b seen from a.  All
-    may be scalars or broadcastable batches.
+
+def _split(r, m_a, m_b):
+    """(classical part, interference) of P(b1) = (1 + r.m_b)/2, for Bloch
+    vectors r of the state and m_a, m_b of answer 1 to a and b.
+
+    The classical part is P(b1) of the state dephased in a's basis, r
+    replaced by its component (r.m_a) m_a; the interference is what the
+    rest of r, its coherence in a's basis, adds along m_b.  Each component
+    may be a float or an array, and they broadcast.
     """
-    p_a0, p_a1 = _abs2(alpha0), _abs2(alpha1)
-    # The path through a = j keeps b = j with probability c2.
-    other, same = (p_a0, p_a1) if j == 1 else (p_a1, p_a0)
-    classical = other * (1.0 - c2) + same * c2
-    cross = (alpha0 * alpha1.conjugate() * phase).real * sin2t
-    return classical, cross if j == 1 else -cross
+    along = _dot(r, m_a)
+    classical = (1.0 + along * _dot(m_a, m_b)) / 2.0
+    interference = _dot([x - along * y for x, y in zip(r, m_a)], m_b) / 2.0
+    return classical, interference
 
 
-def _fallacy(amp0, amp1, rotate_a, rotate_b, a_to_b, b_to_a) -> tuple:
+def _fallacy(r, m_a, m_b, cond) -> tuple:
     """The fields of a :class:`FallacyReport`, in order: the arithmetic
-    shared by :func:`fallacy_report` (scalars) and
-    :func:`analysis.sweep_fallacy_map` (arrays).
+    shared by :func:`fallacy_report` (floats) and
+    :func:`analysis.sweep_fallacy_map` (float arrays).
 
-    ``amp0, amp1`` are the state's amplitudes in the reference basis,
-    ``rotate_a``/``rotate_b`` the :func:`observables._rotation_terms` of
-    a's and b's relation to the reference, ``a_to_b``/``b_to_a`` the
-    :func:`_relation_terms` of b seen from a and of a seen from b.
+    ``r`` is the state's Bloch vector, ``m_a``/``m_b`` are :func:`_axis` of
+    the two questions and ``cond`` is P(b1 | a1) = P(a1 | b1) = cos^2 t.
     """
-    classical_b, interference_b = _split(
-        *rotate_amplitudes(amp0, amp1, *rotate_a), *a_to_b
-    )
-    classical_a, interference_a = _split(
-        *rotate_amplitudes(amp0, amp1, *rotate_b), *b_to_a
-    )
+    classical_b, interference_b = _split(r, m_a, m_b)
+    classical_a, interference_a = _split(r, m_b, m_a)
     p_b1 = classical_b + interference_b
     p_a1 = classical_a + interference_a
-    cond = a_to_b[0]  # P(b1 | a1) = P(a1 | b1)
     thr_b = p_a1 * cond
     thr_a = p_b1 * cond
     return (
@@ -154,15 +157,15 @@ def decompose_total_probability(
 ) -> DecompositionResult:
     """Split P(b = j) for state ``s`` into classical part plus interference.
 
-    ``s`` is given in the reference basis.  Commuting pairs are allowed: the
-    interference factor sin(2 theta) is then zero and the total reduces to
-    the classical sum.
+    ``s`` is given in the reference basis.  Commuting pairs are allowed: m_b
+    is then +-m_a, the interference is zero and the total reduces to the
+    classical sum.
     """
     _check_outcome(j)
-    alpha = rotate_amplitudes(s.amp0, s.amp1, *_rotation_terms(a.relation_to_reference))
-    classical, interference = _split(
-        *alpha, *_relation_terms(relative_relation(a, b)), j
-    )
+    m_b = _axis(b)
+    if j == 0:  # answer 0's Bloch vector is -m_b
+        m_b = tuple(-x for x in m_b)
+    classical, interference = _split(_bloch(s.amp0, s.amp1), _axis(a), m_b)
     return DecompositionResult(classical + interference, classical, interference)
 
 
@@ -192,23 +195,16 @@ def fallacy_report(s: PureState, a: Question, b: Question) -> FallacyReport:
     """Direct fallacy check from probabilities: P(b1) against P(a1)P(b1|a1)
     and symmetrically for the a side, with a 1e-12 guard band so boundary
     cells are deterministic."""
-    return FallacyReport(
-        *_fallacy(
-            s.amp0,
-            s.amp1,
-            _rotation_terms(a.relation_to_reference),
-            _rotation_terms(b.relation_to_reference),
-            _relation_terms(relative_relation(a, b)),
-            _relation_terms(relative_relation(b, a)),
-        )
-    )
+    cond = conditional_probability(a, 1, b, 1)
+    return FallacyReport(*_fallacy(_bloch(s.amp0, s.amp1), _axis(a), _axis(b), cond))
 
 
 def closed_form_fallacy(s: PureState, x: Question, y: Question) -> bool:
     """Whether asking ``x`` then ``y`` shows the fallacy, by the closed form
     1 + 2 Re[(g1 / g0) e^{-i p}] cot(t) < 0: (g0, g1) are ``s`` in x's basis,
-    (t, p) = relative_relation(x, y), and the form is :func:`_split`'s margin
-    over |g0|^2 sin^2(t).  SingularityError within 1e-9 of g0 = 0 or sin t = 0.
+    (t, p) = relative_relation(x, y), and the form is the margin
+    P(y1) - P(x1) cos^2(t) over |g0|^2 sin^2(t), in complex amplitudes.
+    SingularityError within 1e-9 of g0 = 0 or sin t = 0.
     """
     g0, g1 = rotate_amplitudes(s.amp0, s.amp1, *_rotation_terms(x.relation_to_reference))
     rel = relative_relation(x, y)

@@ -20,6 +20,13 @@ _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-12
 
 
+def _wrap(angle: float, period: float) -> float:
+    """``angle % period``, but 0.0 where that rounds up to ``period`` itself,
+    as it does for a negative angle smaller than half an ulp of ``period``."""
+    wrapped = angle % period
+    return 0.0 if wrapped == period else wrapped
+
+
 class BasisRelation(_Record):
     """Rotation angles (theta, phi) between two eigenbases.
 
@@ -31,7 +38,7 @@ class BasisRelation(_Record):
 
     def __init__(self, theta: float, phi: float) -> None:
         _check_finite("BasisRelation", theta, phi)
-        super().__init__(theta % math.pi, phi % _TWO_PI)
+        super().__init__(_wrap(theta, math.pi), _wrap(phi, _TWO_PI))
 
 
 IDENTITY_RELATION = BasisRelation(0.0, 0.0)
@@ -72,9 +79,6 @@ def rotate_amplitudes(amp0, amp1, c, sn, phase):
     """The arithmetic of :func:`change_basis` on bare amplitudes.
 
     ``c``, ``sn`` and ``phase`` are cos(theta), sin(theta) and e^{i phi}.
-    Any argument may instead be a batch of values (numpy arrays, or complex
-    batches held as real and imaginary arrays), so one rotation and a whole
-    raster of them run the same operations.
     """
     return amp0 * c - amp1 * sn / phase, amp0 * sn * phase + amp1 * c
 

@@ -29,7 +29,7 @@ from qopinion import (
     uncertainty_sum_minimum,
 )
 from qopinion.analysis import GridRange, sweep_blocks
-from qopinion import fallacy
+from qopinion import fallacy, oracle
 from qopinion.fallacy import FALLACY_GUARD, closed_form_fallacy
 from qopinion.oracle import brute_force_outcome_probability
 
@@ -46,6 +46,43 @@ def test_decomposition_identity_random():
             dec = decompose_total_probability(s, A, b, j)
             assert abs(dec.total - (dec.classical_part + dec.interference)) < 1e-12
             assert abs(dec.total - brute_force_outcome_probability(s, rel, j)) < 1e-12
+
+
+def _literal_conditional(x: Question, i: int, y: Question, j: int) -> float:
+    """P(y = j | x = i) = Tr(P^y_j P^x_i), from the oracle's literal projectors."""
+    return oracle._ordered_pair_probability(oracle._projector(x, i), x, i, y, j)
+
+
+def test_decomposition_parts_match_the_oracle_one_by_one():
+    # Each part on its own, so a term moved from one part to the other fails.
+    rng = random.Random(17)
+
+    def draw():
+        return BasisRelation(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+
+    for _ in range(300):
+        s = pure_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        a = Question("a", compose_relations(draw(), draw()))
+        b = Question("b", compose_relations(a.relation_to_reference, draw()))
+
+        def parts(x, y, j):  # the oracle's (classical, interference) of P(y = j)
+            p_x1 = brute_force_outcome_probability(s, x.relation_to_reference, 1)
+            classical = oracle.classical_total_probability(
+                p_x1, _literal_conditional(x, 0, y, j), _literal_conditional(x, 1, y, j)
+            )
+            total = brute_force_outcome_probability(s, y.relation_to_reference, j)
+            return classical, total - classical
+
+        rep = fallacy_report(s, a, b)
+        got = [(rep.classical_b1, rep.interference_b1), (rep.classical_a1, rep.interference_a1)]
+        want = [parts(a, b, 1), parts(b, a, 1)]
+        for j in (0, 1):
+            dec = decompose_total_probability(s, a, b, j)
+            got.append((dec.classical_part, dec.interference))
+            want.append(parts(a, b, j))
+        for (classical, interference), (o_classical, o_interference) in zip(got, want):
+            assert abs(classical - o_classical) < 1e-12
+            assert abs(interference - o_interference) < 1e-12
 
 
 def test_decomposition_both_outcomes_sum_to_one():
