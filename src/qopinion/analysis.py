@@ -20,9 +20,9 @@ import numpy as np
 
 from .dsl import GridRange
 from .errors import ValidationError
-from .fallacy import FallacyReport, _axis, _bloch, _fallacy, classify_regime
+from .fallacy import FallacyReport, _axis, _bloch, _fallacy, _pair, classify_regime
 from .observables import (
-    BasisRelation, Question, conditional_probability, eigenvectors_in_reference
+    BasisRelation, Question, eigenvectors_in_reference
 )
 from .states import pure_from_angles
 
@@ -86,16 +86,13 @@ def sweep_blocks(
     _reserve_raster(theta_grid.steps, theta_a_grid.steps)
     reference = Question("a")
     thetas, theta_as = theta_grid.values()[lo:hi], theta_a_grid.values()
-    states = [pure_from_angles(theta_a, 0.0) for theta_a in theta_as]
-    r = _stack([_bloch(s.amp0, s.amp1) for s in states], (1, -1))
+    r = _stack([_bloch(pure_from_angles(theta_a, 0.0)) for theta_a in theta_as], (1, -1))
     m_a = _axis(reference)
 
     def block(values: list[float]) -> SweepResult:  # the given theta rows
-        bs = [Question("b", BasisRelation(theta, phi)) for theta in values]
-        cells = _fallacy(
-            r, m_a, _stack([_axis(b) for b in bs], (-1, 1)),
-            np.array([conditional_probability(reference, 1, b, 1) for b in bs])[:, None],
-        )
+        bs = (Question("b", BasisRelation(theta, phi)) for theta in values)
+        _, m_b, cond = zip(*[_pair(reference, b) for b in bs])
+        cells = _fallacy(r, m_a, _stack(m_b, (-1, 1)), np.array(cond)[:, None])
         regime = tuple(classify_regime(theta) for theta in values)
         return SweepResult(*cells, np.array(values), np.array(theta_as), phi, regime)
 

@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, NoReturn, TextIO
 
 from . import dsl
 from .errors import QOpinionError, ValidationError
-from .fallacy import FallacyReport, classify_regime, fallacy_report, underextension_estimate
+from .fallacy import FallacyReport, _bloch, _fallacy, _pair, classify_regime, fallacy_report
+from .fallacy import underextension_estimate
 from .measurement import chain_table
 from .observables import (
     BasisRelation,
@@ -181,10 +182,11 @@ def _run_sequence(args: dict, rt: Runtime):
 
 
 # A run sweep of at most this many cells is computed at preparation, cell by
-# cell by fallacy_report (each cell's bits, as in the raster), so it loads no
-# numpy.  Numpy's import takes ~0.1 s and a cell ~36 us: on a 2-vCPU Xeon
-# (Python 3.11, numpy 2.4), tools/sweep_pairs.py found the point-wise run faster
-# in 9 of 10 pairs at 52 x 52 cells, in 7 at 56 x 56 and in 2 at 64 x 64.
+# cell by fallacy._fallacy from each column's r and each row's axis terms (the
+# bits of the raster and of fallacy_report), so it loads no numpy.  Numpy's
+# import takes ~0.1 s and a cell ~9 us (2-vCPU Xeon, Python 3.11, numpy 2.4).
+# At ~36 us a cell, tools/sweep_pairs.py found the point-wise run faster in 9
+# of 10 pairs at 52 x 52 cells, in 7 at 56 x 56 and in 2 at 64 x 64.
 _POINTWISE_CELLS = 2500
 
 
@@ -192,14 +194,12 @@ def _run_sweep(args: dict, rt: Runtime):
     theta, theta_a, phi = args["theta"], args["theta_a"], args["phi"]
     if theta.steps * theta_a.steps <= _POINTWISE_CELLS:
         a = Question("a")
-        states = [(t_a, pure_from_angles(t_a, 0.0)) for t_a in theta_a.values()]
+        columns = [(t_a, _bloch(pure_from_angles(t_a, 0.0))) for t_a in theta_a.values()]
         lines = []
         for t in theta.values():
-            b, regime = Question("b", BasisRelation(t, phi)), classify_regime(t).value
-            for t_a, state in states:
-                rep = fallacy_report(state, a, b)
-                fields = (getattr(rep, name) for name in _FALLACY_FIELDS)
-                lines.append(_row(t, t_a, phi, *fields, regime))
+            pair = _pair(a, Question("b", BasisRelation(t, phi)))
+            regime = classify_regime(t).value
+            lines += [_row(t, t_a, phi, *_fallacy(r, *pair), regime) for t_a, r in columns]
         return lines
     from .analysis import sweep_blocks
 
@@ -228,9 +228,7 @@ def _run_simulate(args: dict, rt: Runtime):
 
 def _run_underextension(args: dict, rt: Runtime):
     state, (a, b) = args["state"], args["pair"]
-    est = underextension_estimate(
-        _require_pure(rt.states[state], state), rt.questions[a], rt.questions[b]
-    )
+    est = underextension_estimate(rt.states[state], rt.questions[a], rt.questions[b])
     return [_row(state, a, b, *(getattr(est, name) for name in _UNDEREXTENSION_FIELDS))]
 
 

@@ -13,9 +13,5 @@ class ImpossibleOutcomeError(QOpinionError):
     """Attempt to collapse onto an outcome whose probability is zero."""
 
 
-class PreconditionError(QOpinionError):
-    """A structural precondition on an argument does not hold."""
-
-
 class SingularityError(QOpinionError):
     """A closed-form expression was evaluated within tolerance of a pole."""

@@ -13,7 +13,9 @@ the state dephased in a's basis, and the interference term is what r's
 coherence in that basis adds along m_b; answer 0 has the vector -m_b.  A
 negative interference term can push P(b1) below P(a1) P(b1 | a1), the
 conjunction-fallacy signature; a positive one can push it above by more
-than classically possible (the reverse fallacy).
+than classically possible (the reverse fallacy).  r is :func:`_bloch` of a
+pure or mixed state; a classical mixture of a's answers has r along m_a, no
+interference, and obeys the law of total probability.
 
 Convention note: the basis transformation used everywhere maps a real state
 with amplitude angle t_a to angle t_a + theta in the rotated basis, so the
@@ -34,7 +36,7 @@ import cmath
 import enum
 import math
 
-from .errors import PreconditionError, SingularityError
+from .errors import SingularityError, ValidationError
 from .measurement import OutcomeStep, consecutive_probability, outcome_probability
 from .observables import (
     BasisRelation,
@@ -46,7 +48,7 @@ from .observables import (
     rotate_amplitudes,
 )
 from .states import (
-    MixedState, PureState, _check_finite, _check_outcome, _Record, density_from_pure,
+    MixedState, PureState, _as_density, _check_finite, _check_outcome, _Record,
     pure_from_angles,
 )
 
@@ -96,18 +98,22 @@ class UnderextensionEstimate(_Record):
     __slots__ = ("and_low", "and_high", "or_low", "or_high", "mu_a", "mu_b", "underextension")
 
 
-def _bloch(amp0: complex, amp1: complex) -> tuple[float, float, float]:
-    """Bloch vector r of |s><s| = (I + r.sigma)/2 for s = (amp0, amp1)."""
-    c = amp0 * amp1.conjugate()
-    return 2.0 * c.real, -2.0 * c.imag, abs(amp0) ** 2 - abs(amp1) ** 2
+def _bloch(state: PureState | MixedState) -> tuple[float, float, float]:
+    """r = (2 Re rho01, -2 Im rho01, rho00 - rho11), so rho = (I + r.sigma)/2; a
+    pure state's entries are its amplitudes' products, as density_from_pure
+    writes them, but with no MixedState built and checked."""
+    if isinstance(state, PureState):
+        rho01 = state.amp0 * state.amp1.conjugate()
+        diagonal = abs(state.amp0) ** 2 - abs(state.amp1) ** 2
+    else:
+        rho01, diagonal = state.m01, state.m00 - state.m11
+    return 2.0 * rho01.real, -2.0 * rho01.imag, diagonal
 
 
 def _axis(q: Question) -> tuple[float, float, float]:
-    """m_q, the Bloch vector of answer 1's eigenvector as
-    :func:`observables.eigenvectors_in_reference` writes it, so that
+    """m_q, the Bloch vector of answer 1's eigenvector, so that
     P(q1) = (1 + r.m_q)/2."""
-    c, sn, phase = _rotation_terms(q.relation_to_reference)
-    return _bloch(sn / phase, complex(c))
+    return _bloch(eigenvectors_in_reference(q)[1])
 
 
 def _dot(u, v):
@@ -131,8 +137,9 @@ def _split(r, m_a, m_b):
 
 def _fallacy(r, m_a, m_b, cond) -> tuple:
     """The fields of a :class:`FallacyReport`, in order: the arithmetic
-    shared by :func:`fallacy_report` (floats) and
-    :func:`analysis.sweep_fallacy_map` (float arrays).
+    shared by :func:`fallacy_report`, ``predicted_fallacy_rate`` and a
+    point-wise ``run`` sweep (floats) and :func:`analysis.sweep_fallacy_map`
+    (float arrays).
 
     ``r`` is the state's Bloch vector, ``m_a``/``m_b`` are :func:`_axis` of
     the two questions and ``cond`` is P(b1 | a1) = P(a1 | b1) = cos^2 t.
@@ -152,51 +159,44 @@ def _fallacy(r, m_a, m_b, cond) -> tuple:
     )
 
 
-def decompose_total_probability(
-    s: PureState, a: Question, b: Question, j: int
-) -> DecompositionResult:
-    """Split P(b = j) for state ``s`` into classical part plus interference.
+def _pair(a: Question, b: Question) -> tuple:
+    """``(m_a, m_b, cos^2 t)``: what :func:`_fallacy` takes for the pair (a, b)."""
+    return _axis(a), _axis(b), conditional_probability(a, 1, b, 1)
 
-    ``s`` is given in the reference basis.  Commuting pairs are allowed: m_b
-    is then +-m_a, the interference is zero and the total reduces to the
-    classical sum.
+
+def _report(state: PureState | MixedState, pair: tuple) -> FallacyReport:
+    """The report of ``state``, pure or mixed, for the terms of :func:`_pair`."""
+    return FallacyReport(*_fallacy(_bloch(state), *pair))
+
+
+def decompose_total_probability(
+    state: PureState | MixedState, a: Question, b: Question, j: int
+) -> DecompositionResult:
+    """Split P(b = j) for a pure or mixed ``state`` into classical part plus
+    interference, both affine in its Bloch vector.
+
+    ``state`` is given in the reference basis.  Commuting pairs are allowed:
+    m_b is then +-m_a.  Then, and for a state diagonal in a's basis (a
+    classical mixture of a's answers), the interference is zero up to
+    rounding and the total reduces to the classical two-path sum.
     """
     _check_outcome(j)
     m_b = _axis(b)
     if j == 0:  # answer 0's Bloch vector is -m_b
         m_b = tuple(-x for x in m_b)
-    classical, interference = _split(_bloch(s.amp0, s.amp1), _axis(a), m_b)
+    classical, interference = _split(_bloch(state), _axis(a), m_b)
     return DecompositionResult(classical + interference, classical, interference)
-
-
-def mixed_state_total_probability(
-    rho: MixedState, a: Question, b: Question, j: int
-) -> float:
-    """Law of total probability for a state diagonal in ``a``'s basis.
-
-    Diagonal mixtures carry no interference term, so the result is exactly
-    the classical two-path sum and can never fall below P(a1) P(b_j | a1).
-    """
-    _check_outcome(j)
-    a0, a1 = eigenvectors_in_reference(a)
-    off = rho.element(a0, a1)
-    if abs(off) > 1e-12:
-        raise PreconditionError(
-            f"state is not diagonal in the {a.name} basis (off-diagonal {off!r})"
-        )
-    p_a0 = rho.expectation(a0)
-    p_a1 = rho.expectation(a1)
-    return p_a0 * conditional_probability(a, 0, b, j) + p_a1 * conditional_probability(
-        a, 1, b, j
-    )
 
 
 def fallacy_report(s: PureState, a: Question, b: Question) -> FallacyReport:
     """Direct fallacy check from probabilities: P(b1) against P(a1)P(b1|a1)
     and symmetrically for the a side, with a 1e-12 guard band so boundary
-    cells are deterministic."""
-    cond = conditional_probability(a, 1, b, 1)
-    return FallacyReport(*_fallacy(_bloch(s.amp0, s.amp1), _axis(a), _axis(b), cond))
+    cells are deterministic.  Pure states only (ValidationError otherwise):
+    the reverse flags' unguarded interference test would flag rounding noise
+    on a mixture diagonal in a question's basis."""
+    if not isinstance(s, PureState):
+        raise ValidationError(f"fallacy_report takes a pure state, not {type(s).__name__}")
+    return _report(s, _pair(a, b))
 
 
 def closed_form_fallacy(s: PureState, x: Question, y: Question) -> bool:
@@ -243,11 +243,11 @@ def classify_regime(theta: float) -> RegimeClass:
 
 
 def underextension_estimate(
-    s: PureState, a: Question, b: Question
+    s: PureState | MixedState, a: Question, b: Question
 ) -> UnderextensionEstimate:
-    """Bracket mu(A and B) by the two ordered chain probabilities and derive
-    the inclusion-exclusion range for mu(A or B)."""
-    rho = density_from_pure(s)
+    """Bracket mu(A and B) for a pure or mixed state by the two ordered chain
+    probabilities and derive the inclusion-exclusion range for mu(A or B)."""
+    rho = _as_density(s)
     mu_a = outcome_probability(rho, a, 1)
     mu_b = outcome_probability(rho, b, 1)
     p_ab = consecutive_probability(rho, [OutcomeStep(a, 1), OutcomeStep(b, 1)])

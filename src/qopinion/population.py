@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fork import in_two_processes
 from .errors import ValidationError
-from .fallacy import FALLACY_GUARD
+from .fallacy import _pair, _report
 from .kernels import A_FIRST_A, A_FIRST_B, B_FIRST_A, B_FIRST_B, simulate_answers
 from .measurement import outcome_probability
 from .observables import Question, conditional_probability
@@ -130,17 +130,17 @@ def _crowd_model(pop: PopulationSpec, a: Question, b: Question):
 
 
 def predicted_fallacy_rate(pop: PopulationSpec, a: Question, b: Question) -> float:
-    """Fraction of the population whose preparation shows the b-side fallacy.
+    """Fraction of the population whose preparation has the ``fallacy_b`` flag.
 
-    The condition P(b1) < P(a1) P(b1|a1) is linear in the density matrix, so
+    The condition P(b1) < P(a1) P(b1|a1) is affine in the Bloch vector, so
     it applies uniformly to pure and mixed preparations; diagonal mixtures
     can never satisfy it.  The rate is affine in the component fractions.
     """
-    _, p_a1, p_b1, cond = _crowd_model(pop, a, b)
+    pair = _pair(a, b)
     rate = 0.0
-    # One += per component, in order: sum() and ndarray.sum() round otherwise.
-    for comp, flagged in zip(pop.components, p_b1 < p_a1 * cond[1] - FALLACY_GUARD):
-        if flagged:
+    # One += per component, in order: from Python 3.12, sum() rounds otherwise.
+    for comp in pop.components:
+        if _report(comp.preparation, pair).fallacy_b:
             rate += comp.fraction
     return rate
 

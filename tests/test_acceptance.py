@@ -38,7 +38,6 @@ from qopinion import (
     density_from_pure,
     fallacy_inequalities,
     fallacy_report,
-    mixed_state_total_probability,
     ordering_flip_probability,
     pure_from_angles,
     sample_answer,
@@ -134,7 +133,7 @@ def test_criterion_02_mixed_state_classicality():
             "b",
             BasisRelation(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2 * math.pi))),
         )
-        p_b1 = mixed_state_total_probability(rho, A, b, 1)
+        p_b1 = decompose_total_probability(rho, A, b, 1).total
         bound = p1 * conditional_probability(A, 1, b, 1)
         if p_b1 < bound - 1e-12:
             violations += 1

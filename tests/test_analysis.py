@@ -10,7 +10,6 @@ from qopinion import (
     FallacyReport,
     MixedState,
     OutcomeStep,
-    PreconditionError,
     Question,
     RegimeClass,
     SingularityError,
@@ -22,7 +21,6 @@ from qopinion import (
     density_from_pure,
     fallacy_inequalities,
     fallacy_report,
-    mixed_state_total_probability,
     pure_from_angles,
     sweep_fallacy_map,
     underextension_estimate,
@@ -118,16 +116,10 @@ def test_decomposition_generic_source_basis():
 def test_mixed_state_total_probability_diagonal():
     b = Question("b", BasisRelation(0.2, 0.0))
     rho = MixedState(0.3, 0.7, 0j)
-    p = mixed_state_total_probability(rho, A, b, 1)
+    dec = decompose_total_probability(rho, A, b, 1)
     expected = 0.3 * math.sin(0.2) ** 2 + 0.7 * math.cos(0.2) ** 2
-    assert p == pytest.approx(expected, abs=1e-14)
-
-
-def test_mixed_state_total_probability_rejects_coherence():
-    b = Question("b", BasisRelation(0.2, 0.0))
-    rho = density_from_pure(pure_from_angles(0.7, 0.0))
-    with pytest.raises(PreconditionError):
-        mixed_state_total_probability(rho, A, b, 1)
+    assert dec.total == pytest.approx(expected, abs=1e-14)
+    assert dec.interference == 0.0
 
 
 def test_fallacy_report_pinned_point():

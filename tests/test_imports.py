@@ -43,13 +43,12 @@ EXPORTS = {
     "analysis": ("SweepResult", "sweep_fallacy_map", "uncertainty_sum_minimum"),
     "dsl": ("GridRange",),
     "errors": (
-        "ImpossibleOutcomeError", "PreconditionError", "QOpinionError",
-        "SingularityError", "ValidationError",
+        "ImpossibleOutcomeError", "QOpinionError", "SingularityError", "ValidationError",
     ),
     "fallacy": (
         "DecompositionResult", "FallacyReport", "RegimeClass", "UnderextensionEstimate",
         "classify_regime", "decompose_total_probability", "fallacy_inequalities",
-        "fallacy_report", "mixed_state_total_probability", "underextension_estimate",
+        "fallacy_report", "underextension_estimate",
     ),
     "measurement": (
         "OutcomeStep", "collapse", "consecutive_probability", "mean_value",

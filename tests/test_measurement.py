@@ -7,7 +7,6 @@ from qopinion import (
     ImpossibleOutcomeError,
     conditional_probability,
     decompose_total_probability,
-    mixed_state_total_probability,
     MAXIMALLY_MIXED,
     OutcomeStep,
     Question,
@@ -16,6 +15,7 @@ from qopinion import (
     consecutive_probability,
     density_from_pure,
     mean_value,
+    mix,
     ordering_flip_probability,
     outcome_probability,
     pure_from_angles,
@@ -46,16 +46,15 @@ def test_outcome_probabilities_sum_to_one():
         outcome_probability(rho, B, 2)
 
 
-# Every entry point that takes an answer checks it with states._check_outcome.
-# The state is not diagonal in a's basis, so mixed_state_total_probability
-# must check the answer before it rejects the state.
+# Every entry point that takes an answer checks it with states._check_outcome,
+# for a pure state and for a mixed one not diagonal in a's basis.
 _NOT_DIAGONAL = pure_from_angles(0.7, 0.2)
 _OUTCOME_TAKERS = {
     "outcome_probability": lambda o: outcome_probability(density_from_pure(_NOT_DIAGONAL), B, o),
     "OutcomeStep": lambda o: OutcomeStep(A, o),
     "decompose_total_probability": lambda o: decompose_total_probability(_NOT_DIAGONAL, A, B, o),
-    "mixed_state_total_probability": lambda o: mixed_state_total_probability(
-        density_from_pure(_NOT_DIAGONAL), A, B, o),
+    "mixed_state_total_probability": lambda o: decompose_total_probability(
+        mix([(0.5, density_from_pure(_NOT_DIAGONAL)), (0.5, MAXIMALLY_MIXED)]), A, B, o),
     "conditional_probability_from": lambda o: conditional_probability(A, o, B, 1),
     "conditional_probability_to": lambda o: conditional_probability(A, 0, B, o),
 }

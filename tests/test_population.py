@@ -77,8 +77,8 @@ def test_diagonal_components_never_count():
 
 
 def test_one_component_rate_agrees_with_fallacy_report():
-    # The density path (predicted_fallacy_rate) and the amplitude path
-    # (fallacy_report) are two definitions of the same b-side flag.
+    # predicted_fallacy_rate counts the fallacy_b flag that fallacy_report
+    # prints for a pure state, from the same Bloch arithmetic.
     rng = np.random.default_rng(20070)
     flagged = 0
     for _ in range(2000):
